@@ -310,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("space", help="space JSON path or model spec (kind:params)")
         sp.add_argument("--out", default="mmslab_out")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--jobs", type=int, default=1)
         sp.add_argument("--svg", action="store_true")
 
     sp = sub.add_parser("w2", help="quadratic transport between two measures")
@@ -351,10 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("ghdist", help="surrogate pointed-measured-GH distance")
     sp.add_argument("space_a")
     sp.add_argument("space_b")
-    sp.add_argument("--out", default="mmslab_out")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--jobs", type=int, default=1)
-    sp.add_argument("--svg", action="store_true")
+    common(sp, space=False)
     sp.add_argument("--radii", default="")
     sp.add_argument("--mode", choices=("anneal", "exhaustive"), default="anneal")
     sp.add_argument("--normalize", action="store_true")

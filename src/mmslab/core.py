@@ -162,7 +162,7 @@ class ValidationReport:
 
     violations: tuple
     triangle_tol: float
-    triangle_mode: str  # "exhaustive" | "sampled"
+    triangle_mode: str  # "exhaustive" | "sampled" | "skipped" (non-finite input)
 
     @property
     def ok(self) -> bool:
@@ -189,7 +189,9 @@ def validate(
 ) -> ValidationReport:
     """Check the FiniteSpace invariants and report every violation.
 
-    Diagonal and symmetry are exact checks; the triangle inequality uses
+    Non-finite distances or weights are checked first and end the check,
+    since every later comparison with them is meaningless. Diagonal and
+    symmetry are exact checks; the triangle inequality uses
     ``triangle_tol`` to absorb float round-off of sampled constructions.
     Above ``exhaustive_limit`` points the O(n^3) triple scan switches to a
     seeded sample of ``sample_triples`` triples.
@@ -197,6 +199,14 @@ def validate(
     D, w = space.metric, space.weights
     n = space.n
     out: list[tuple] = []
+
+    for i, j in np.argwhere(~np.isfinite(D))[: 100]:
+        out.append(("non_finite", (int(i), int(j)), float(D[i, j])))
+    for i in np.flatnonzero(~np.isfinite(w)):
+        out.append(("non_finite", (int(i),), float(w[i])))
+    if out:
+        return ValidationReport(violations=tuple(out), triangle_tol=triangle_tol,
+                                triangle_mode="skipped")
 
     diag = np.flatnonzero(np.diag(D) != 0)
     out.extend(("diagonal", (int(i),), float(D[i, i])) for i in diag)
@@ -356,7 +366,6 @@ def doubling_profile(
         ratios[k] = float((m_2r / m_r).max())
     envelope = np.maximum.accumulate(ratios)
 
-    profile_env = np.maximum.accumulate(ratios)
     violations: list[tuple] = []
     checked = 0
     rng = np.random.default_rng(seed + 1)
@@ -372,7 +381,7 @@ def doubling_profile(
             x = int(rng.choice(in_R))
             mR = space.ball_mass(a, R)
             mr = space.ball_mass(x, r)
-            C = float(profile_env[iR])
+            C = float(envelope[iR])
             bound = mr * C ** (np.log2(R / r) + 2.0)
             checked += 1
             if mR > bound * (1 + iterated_tol) + iterated_tol:
@@ -451,6 +460,7 @@ def load_space(source: str | dict) -> PointedSpace | FiniteSpace:
     """Load a space from the JSON format (path, JSON string, or dict).
 
     Returns a PointedSpace when "base" is present, else a FiniteSpace.
+    Raises ValueError on non-finite distances or weights.
     """
     if isinstance(source, dict):
         obj = source
@@ -464,6 +474,8 @@ def load_space(source: str | dict) -> PointedSpace | FiniteSpace:
     n = len(points)
     metric = _metric_from_spec(obj["metric"], n)
     weights = np.asarray(obj["weights"], dtype=float)
+    if not (np.isfinite(metric).all() and np.isfinite(weights).all()):
+        raise ValueError("space has non-finite distances or weights")
     coords = None
     if obj["metric"].get("kind") == "euclidean":
         coords = np.asarray(obj["metric"]["coords"], dtype=float)

@@ -163,11 +163,7 @@ class GridInterpolator(Interpolator):
         p = self.p if np.isfinite(self.p) else np.inf
         return int(self._tree.query(target, p=p)[1])
 
-    def __call__(self, i: int, j: int, t: float) -> int:
-        if t <= 0.0:
-            return int(i)
-        if t >= 1.0:
-            return int(j)
+    def _at(self, i: int, j: int, t: float) -> int:
         return self._snap((1.0 - t) * self.coords[i] + t * self.coords[j])
 
     def restrict(self, idx):
@@ -186,11 +182,7 @@ class CylinderInterpolator(Interpolator):
         self._lookup = {tuple(k): i for i, k in enumerate(key)}
         self.eps_geo = 1.5 * self.h
 
-    def __call__(self, i: int, j: int, t: float) -> int:
-        if t <= 0.0:
-            return int(i)
-        if t >= 1.0:
-            return int(j)
+    def _at(self, i: int, j: int, t: float) -> int:
         z1, s1 = self.coords[i]
         z2, s2 = self.coords[j]
         ds = (s2 - s1 + self.circ / 2) % self.circ - self.circ / 2
@@ -206,8 +198,7 @@ class CylinderInterpolator(Interpolator):
         return hit
 
     def restrict(self, idx):
-        sub = _RemappedInterpolator(self, idx)
-        return sub
+        return _RemappedInterpolator(self, idx)
 
 
 class SphereInterpolator(Interpolator):
@@ -219,11 +210,7 @@ class SphereInterpolator(Interpolator):
         self._tree = cKDTree(self.xyz)
         self.eps_geo = float(eps_geo)
 
-    def __call__(self, i: int, j: int, t: float) -> int:
-        if t <= 0.0:
-            return int(i)
-        if t >= 1.0:
-            return int(j)
+    def _at(self, i: int, j: int, t: float) -> int:
         u = self.xyz[i] / self.radius
         v = self.xyz[j] / self.radius
         ang = np.arccos(np.clip(u @ v, -1.0, 1.0))
@@ -256,11 +243,7 @@ class ConeInterpolator(Interpolator):
         )
         return int(np.argmin(d))
 
-    def __call__(self, i: int, j: int, t: float) -> int:
-        if t <= 0.0:
-            return int(i)
-        if t >= 1.0:
-            return int(j)
+    def _at(self, i: int, j: int, t: float) -> int:
         r1, p1 = self.polar[i]
         r2, p2 = self.polar[j]
         dphi = (p2 - p1 + self.alpha / 2) % self.alpha - self.alpha / 2
@@ -297,11 +280,7 @@ class GraphInterpolator(Interpolator):
             out.append(p)
         return out[::-1]
 
-    def __call__(self, i: int, j: int, t: float) -> int:
-        if t <= 0.0:
-            return int(i)
-        if t >= 1.0:
-            return int(j)
+    def _at(self, i: int, j: int, t: float) -> int:
         path = self._path(int(i), int(j))
         cum = np.array([self.metric[i, k] for k in path])
         target = t * self.metric[i, j]
@@ -318,11 +297,10 @@ class _RemappedInterpolator(Interpolator):
         self.parent = parent
         self.idx = np.asarray(idx, dtype=int)
         self._pos = {int(g): k for k, g in enumerate(self.idx)}
-        metric = getattr(parent, "metric", None)
-        self._metric = metric
+        self._metric = getattr(parent, "metric", None)
         self.eps_geo = parent.eps_geo
 
-    def __call__(self, i: int, j: int, t: float) -> int:
+    def _at(self, i: int, j: int, t: float) -> int:
         g = self.parent(int(self.idx[i]), int(self.idx[j]), t)
         hit = self._pos.get(int(g))
         if hit is not None:

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .core import PointedSpace
+from .transport import transport_lp
 
 __all__ = [
     "Correspondence",
@@ -153,25 +152,7 @@ def _gap_lp(DA, DB, wa, wb, loc) -> float:
         if len(np.unique(loc[:, 0])) == len(wa) and len(np.unique(loc[:, 1])) == len(wb):
             if np.array_equal(wa[loc[:, 0]], wb[loc[:, 1]]):
                 return 0.0
-    cost = _glued_cost(DA, DB, loc)
-    na, nb = cost.shape
-    nn = na * nb
-    rows_i = np.repeat(np.arange(na), nb)
-    cols_i = np.tile(np.arange(nb), na)
-    A1 = sparse.hstack([
-        sparse.coo_matrix((np.ones(nn), (rows_i, np.arange(nn))), shape=(na, nn)),
-        sparse.eye(na), sparse.coo_matrix((na, nb)),
-    ])
-    A2 = sparse.hstack([
-        sparse.coo_matrix((np.ones(nn), (cols_i, np.arange(nn))), shape=(nb, nn)),
-        sparse.coo_matrix((nb, na)), sparse.eye(nb),
-    ])
-    A = sparse.vstack([A1, A2]).tocsr()
-    c = np.concatenate([cost.ravel(), np.full(na + nb, TELEPORT_COST)])
-    res = linprog(c, A_eq=A, b_eq=np.concatenate([wa, wb]), bounds=(0, None), method="highs")
-    if not res.success:
-        raise RuntimeError(f"measure-gap LP failed: {res.message}")
-    return float(res.fun)
+    return transport_lp(_glued_cost(DA, DB, loc), wa, wb, teleport=TELEPORT_COST)[1]
 
 
 def measure_gap(A: PointedSpace, B: PointedSpace, corr: Correspondence, R: float) -> float:
@@ -356,37 +337,36 @@ def _init_candidates(DA, DB, wa, wb, base_a, base_b):
     d = min(EA_full.shape[1], EB_full.shape[1])
     if d < 1:
         return cands, None, None
-    if True:
-        EA_full = EA_full[:, :d] - EA_full[base_a, :d]
-        EB_full = EB_full[:, :d] - EB_full[base_b, :d]
-        for used in range(1, d + 1):
-            EA = EA_full[:, :used]
-            EB = EB_full[:, :used]
-            tree_b = cKDTree(EB)
-            tree_a = cKDTree(EA)
-            for perm in permutations(range(used)):
-                for signs in iproduct(*([(1.0, -1.0)] * used)):
-                    s = np.asarray(signs)[None, :]
-                    fa = tree_b.query(EA[:, list(perm)] * s)[1].astype(int)
-                    gb = tree_a.query(EB[:, list(perm)] * s)[1].astype(int)
-                    cands.append((fa, gb))
-        if d >= 2:
-            # degenerate eigenplanes (rotational symmetry: circles, cones)
-            # leave an arbitrary rotation between the two leading axes that
-            # sign/permutation candidates cannot reach
-            tree_b2 = cKDTree(EB_full[:, :2])
-            tree_a2 = cKDTree(EA_full[:, :2])
-            E2 = EA_full[:, :2]
-            for k in range(12):
-                ang = 2.0 * np.pi * k / 12.0
-                R = np.array([[np.cos(ang), -np.sin(ang)],
-                              [np.sin(ang), np.cos(ang)]])
-                for refl in (1.0, -1.0):
-                    T = E2 @ R.T * np.array([[1.0, refl]])
-                    fa = tree_b2.query(T)[1].astype(int)
-                    TB = (EB_full[:, :2] * np.array([[1.0, refl]])) @ R
-                    gb = tree_a2.query(TB)[1].astype(int)
-                    cands.append((fa, gb))
+    EA_full = EA_full[:, :d] - EA_full[base_a, :d]
+    EB_full = EB_full[:, :d] - EB_full[base_b, :d]
+    for used in range(1, d + 1):
+        EA = EA_full[:, :used]
+        EB = EB_full[:, :used]
+        tree_b = cKDTree(EB)
+        tree_a = cKDTree(EA)
+        for perm in permutations(range(used)):
+            for signs in iproduct(*([(1.0, -1.0)] * used)):
+                s = np.asarray(signs)[None, :]
+                fa = tree_b.query(EA[:, list(perm)] * s)[1].astype(int)
+                gb = tree_a.query(EB[:, list(perm)] * s)[1].astype(int)
+                cands.append((fa, gb))
+    if d >= 2:
+        # degenerate eigenplanes (rotational symmetry: circles, cones)
+        # leave an arbitrary rotation between the two leading axes that
+        # sign/permutation candidates cannot reach
+        tree_b2 = cKDTree(EB_full[:, :2])
+        tree_a2 = cKDTree(EA_full[:, :2])
+        E2 = EA_full[:, :2]
+        for k in range(12):
+            ang = 2.0 * np.pi * k / 12.0
+            R = np.array([[np.cos(ang), -np.sin(ang)],
+                          [np.sin(ang), np.cos(ang)]])
+            for refl in (1.0, -1.0):
+                T = E2 @ R.T * np.array([[1.0, refl]])
+                fa = tree_b2.query(T)[1].astype(int)
+                TB = (EB_full[:, :2] * np.array([[1.0, refl]])) @ R
+                gb = tree_a2.query(TB)[1].astype(int)
+                cands.append((fa, gb))
     return cands, EA_full, EB_full
 
 

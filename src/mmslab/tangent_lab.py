@@ -15,7 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .core import FiniteSpace, PointedSpace, ball_restrict, normalize_at, rescale
-from .pmgh import PmghEstimate, _gap_lp, convergence_diagnostic, pmgh_distance
+from .pmgh import TELEPORT_COST, convergence_diagnostic, pmgh_distance
+from .transport import transport_lp
 
 __all__ = [
     "BlowupMember",
@@ -538,7 +539,6 @@ def split(
         ii = np.repeat(np.arange(n), n)
         jj = np.tile(np.arange(n), n)
     else:
-        k = int(math.sqrt(pair_budget))
         ii = rng.integers(0, n, size=pair_budget)
         jj = rng.integers(0, n, size=pair_budget)
     resid = np.abs(Dw[ii, jj] ** 2 - (b[ii] - b[jj]) ** 2
@@ -594,8 +594,7 @@ def _product_measure_defect(b, ww, assign, dprime, wq, base_rep, window, h, step
     cost_full = cell_d.transpose(0, 2, 1, 3).reshape(na, na)
     wa = actual.reshape(na)
     wb = product.reshape(na)
-    loc = np.stack([np.arange(na), np.arange(na)], axis=1)
-    gap = _gap_lp(cost_full, cost_full, wa, wb, loc)
+    gap = transport_lp(np.minimum(cost_full, TELEPORT_COST), wa, wb, teleport=TELEPORT_COST)[1]
     total = max(wa.sum(), 1e-300)
     return float(gap / total)
 

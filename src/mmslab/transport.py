@@ -1,14 +1,15 @@
 """Quadratic optimal transport between measures on a finite space.
 
-Exact plans come from the transportation LP solved with a dual-simplex
-backend (vertex-optimal, deterministic); an entropic solver provides the
-approximate route. Discrete displacement interpolation is delegated to an
-interpolation oracle that maps an (i, j, t) query to an existing point.
+Every exact transport solve in the lab goes through one kernel,
+``transport_lp``: the transportation LP, optionally with teleportation
+slacks, solved with a dual-simplex backend (vertex-optimal, deterministic)
+and certified by dual feasibility over every column and the duality gap.
+An entropic solver provides the approximate route. Discrete displacement
+interpolation is delegated to an interpolation oracle that maps an
+(i, j, t) query to an existing point.
 """
 from __future__ import annotations
 
-import hashlib
-import os
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -27,14 +28,12 @@ __all__ = [
     "MetricInterpolator",
     "GeodesicPlan",
     "as_probability",
+    "transport_lp",
     "w2",
     "monotone_1d",
     "interpolate",
     "geodesic_plan",
 ]
-
-CACHE_ENV = "MMS_LAB_CACHE"
-
 
 class MassMismatchError(ValueError):
     """Marginal is not a probability measure (within tolerance)."""
@@ -108,44 +107,45 @@ class W2Result:
         return float(np.sqrt(max(self.cost_squared, 0.0)))
 
 
-def _cache_dir() -> str | None:
-    return os.environ.get(CACHE_ENV) or None
+def transport_lp(
+    C: np.ndarray, a: np.ndarray, b: np.ndarray, teleport: float | None = None
+) -> tuple[np.ndarray, float, np.ndarray, np.ndarray, dict]:
+    """Transportation LP with cost ``C`` (n0, n1) between masses ``a`` and ``b``.
 
-
-def _cache_key(C: np.ndarray, a: np.ndarray, b: np.ndarray, tag: str) -> str:
-    h = hashlib.sha256()
-    h.update(tag.encode())
-    for arr in (C, a, b):
-        h.update(np.ascontiguousarray(arr).tobytes())
-    return h.hexdigest()
-
-
-def _solve_lp(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
-    """Dense transportation LP; returns (gamma, cost, u, v) with valid duals."""
+    With ``teleport`` set, mass may also be created or destroyed at that
+    cost per unit (one slack column per row and per column), so a and b
+    need not balance. Returns (gamma, cost, u, v, certificate): the plan,
+    the optimal value, the row and column duals, and the certificate's
+    ``min_reduced_cost`` over every column and ``duality_gap``. Raises
+    RuntimeError if the solve fails or the duals are infeasible.
+    """
     n0, n1 = C.shape
-    nn = n0 * n1
-    # row-sum constraints then col sums with the last (redundant) one dropped
-    rows_i = np.repeat(np.arange(n0), n1)
-    cols_i = np.tile(np.arange(n1), n0)
-    data = np.ones(nn)
-    A_rows = sparse.coo_matrix((data, (rows_i, np.arange(nn))), shape=(n0, nn))
-    keep = cols_i < n1 - 1
-    A_cols = sparse.coo_matrix(
-        (data[keep], (cols_i[keep], np.arange(nn)[keep])), shape=(n1 - 1, nn)
-    )
-    A_eq = sparse.vstack([A_rows, A_cols]).tocsr()
-    b_eq = np.concatenate([a, b[:-1]])
-    res = linprog(C.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs-ds")
+    A_rows = sparse.kron(sparse.eye(n0), np.ones((1, n1)))
+    A_cols = sparse.kron(np.ones((1, n0)), sparse.eye(n1))
+    c = C.ravel()
+    if teleport is None:
+        # the last column sum follows from the others
+        A_eq = sparse.vstack([A_rows, A_cols.tocsr()[:-1]])
+        b_eq = np.concatenate([a, b[:-1]])
+    else:
+        A_eq = sparse.bmat([[A_rows, sparse.eye(n0), None], [A_cols, None, sparse.eye(n1)]])
+        b_eq = np.concatenate([a, b])
+        c = np.concatenate([c, np.full(n0 + n1, float(teleport))])
+    res = linprog(c, A_eq=A_eq.tocsr(), b_eq=b_eq, bounds=(0, None), method="highs-ds")
     if not res.success:
         raise RuntimeError(f"transport LP failed: {res.message}")
-    gamma = np.clip(res.x.reshape(n0, n1), 0.0, None)
-    duals = np.asarray(res.eqlin.marginals, dtype=float)
-    u, v = duals[:n0], np.append(duals[n0:], 0.0)
-    # fix the sign convention so reduced costs C - u - v are >= 0
-    red = C - u[:, None] - v[None, :]
-    if red.min() < -1e-7 * max(1.0, np.abs(C).max()):
-        u, v = -u, -v
-    return gamma, float(res.fun), u, v
+    gamma = np.clip(res.x[: n0 * n1].reshape(n0, n1), 0.0, None)
+    y = np.asarray(res.eqlin.marginals, dtype=float)
+    u, v = y[:n0], y[n0:]
+    if teleport is None:
+        v = np.append(v, 0.0)  # the dropped column sum has dual 0
+    min_red = float((C - u[:, None] - v[None, :]).min())
+    if teleport is not None:
+        min_red = min(min_red, float(teleport - max(u.max(), v.max())))
+    if min_red < -1e-7 * max(1.0, float(np.abs(c).max())):
+        raise RuntimeError(f"transport LP duals are infeasible: reduced cost {min_red:.3g}")
+    cert = {"min_reduced_cost": min_red, "duality_gap": abs(float(res.fun) - float(a @ u + b @ v))}
+    return gamma, float(res.fun), u, v, cert
 
 
 def _sinkhorn(C: np.ndarray, a: np.ndarray, b: np.ndarray, reg: float,
@@ -196,12 +196,14 @@ def w2(
 ) -> W2Result:
     """Quadratic transport between probability measures on ``space``.
 
-    Exact mode returns a vertex-optimal plan of the transportation LP with
-    the squared cost; ``W2Result.distance`` is its square root. Entropic
-    mode runs log-domain matrix scaling at regularization ``reg`` (squared
-    distance units), stopping at L1 marginal error ``marginal_tol`` or
-    ``max_iter`` sweeps, and rounds the plan back to the polytope so the
-    reported cost upper-bounds the exact one.
+    Exact mode solves ``transport_lp`` and returns its vertex-optimal plan
+    with the squared cost; ``W2Result.distance`` is its square root, and
+    ``meta`` carries the duals ``u``, ``v`` with their dual certificate
+    (``min_reduced_cost``, ``duality_gap``). Entropic mode runs log-domain
+    matrix scaling at regularization ``reg`` (squared distance units),
+    stopping at L1 marginal error ``marginal_tol`` or ``max_iter`` sweeps,
+    and rounds the plan back to the polytope so the reported cost
+    upper-bounds the exact one.
     """
     mu0 = as_probability(space, mu0)
     mu1 = as_probability(space, mu1)
@@ -210,19 +212,9 @@ def w2(
     a, b = mu0[rows], mu1[cols]
     C = space.metric[np.ix_(rows, cols)] ** 2
 
-    cache = _cache_dir()
-    key = None
-    if cache:
-        key = _cache_key(C, a, b, solver + (f":{reg}" if solver == "entropic" else ""))
-        path = os.path.join(cache, key + ".npz")
-        if os.path.exists(path):
-            data = np.load(path)
-            plan = Coupling(rows=rows, cols=cols, gamma=data["gamma"], n=space.n)
-            return W2Result(float(data["cost"]), plan, solver, {"cache": "hit"})
-
     if solver == "exact":
-        gamma, cost, u, v = _solve_lp(C, a, b)
-        meta = {"u": u, "v": v}
+        gamma, cost, u, v, cert = transport_lp(C, a, b)
+        meta = {"u": u, "v": v, **cert}
     elif solver == "entropic":
         gamma, iters, err = _sinkhorn(C, a, b, reg, max_iter, marginal_tol)
         cost = float((gamma * C).sum())
@@ -230,9 +222,6 @@ def w2(
     else:
         raise ValueError(f"unknown solver {solver!r}")
 
-    if cache and key is not None:
-        os.makedirs(cache, exist_ok=True)
-        np.savez(os.path.join(cache, key + ".npz"), gamma=gamma, cost=cost)
     plan = Coupling(rows=rows, cols=cols, gamma=gamma, n=space.n)
     return W2Result(cost, plan, solver, meta)
 
@@ -286,17 +275,31 @@ def monotone_1d(space: FiniteSpace, mu0, mu1, coords: np.ndarray | None = None) 
 class Interpolator:
     """Oracle mapping (i, j, t) to the index of a point near the geodesic.
 
-    Must satisfy interp(i, j, 0) = i and interp(i, j, 1) = j; ``eps_geo``
-    declares how far a returned path may deviate from constant speed.
+    Calls with t <= 0 return i and calls with t >= 1 return j; subclasses
+    implement ``_at`` (and optionally a vectorized ``_many``) for interior
+    times only. ``eps_geo`` declares how far a returned path may deviate
+    from constant speed.
     """
 
     eps_geo: float = 0.0
 
     def __call__(self, i: int, j: int, t: float) -> int:
-        raise NotImplementedError
+        if t <= 0.0:
+            return int(i)
+        if t >= 1.0:
+            return int(j)
+        return self._at(i, j, t)
 
     def many(self, ii: np.ndarray, jj: np.ndarray, t: float) -> np.ndarray:
-        return np.array([self(int(i), int(j), t) for i, j in zip(ii, jj)], dtype=int)
+        if 0.0 < t < 1.0:
+            return self._many(ii, jj, t)
+        return np.array(ii if t <= 0.0 else jj, dtype=int)
+
+    def _at(self, i: int, j: int, t: float) -> int:
+        raise NotImplementedError
+
+    def _many(self, ii: np.ndarray, jj: np.ndarray, t: float) -> np.ndarray:
+        return np.array([self._at(int(i), int(j), t) for i, j in zip(ii, jj)], dtype=int)
 
     def restrict(self, idx: np.ndarray) -> "Interpolator":
         raise NotImplementedError
@@ -320,20 +323,12 @@ class MetricInterpolator(Interpolator):
                 eps_geo = 0.0
         self.eps_geo = float(eps_geo)
 
-    def __call__(self, i: int, j: int, t: float) -> int:
-        if t <= 0.0:
-            return int(i)
-        if t >= 1.0:
-            return int(j)
+    def _at(self, i: int, j: int, t: float) -> int:
         L = self.D[i, j]
         obj = np.abs(self.D[i] - t * L) + np.abs(self.D[:, j] - (1.0 - t) * L)
         return int(np.argmin(obj))
 
-    def many(self, ii, jj, t):
-        if t <= 0.0:
-            return np.asarray(ii, dtype=int).copy()
-        if t >= 1.0:
-            return np.asarray(jj, dtype=int).copy()
+    def _many(self, ii, jj, t):
         L = self.D[ii, jj][:, None]
         obj = np.abs(self.D[ii, :] - t * L) + np.abs(self.D[jj, :] - (1.0 - t) * L)
         return np.argmin(obj, axis=1)

@@ -49,6 +49,15 @@ class TestValidate:
         rep = core.validate(FiniteSpace((0, 1), D, np.ones(2)))
         assert rep.by_kind("symmetry")
 
+    def test_non_finite_reported_first(self):
+        D = np.array([[0, 1.0], [1.0, 0]])
+        rep = core.validate(FiniteSpace((0, 1), D, np.array([1.0, np.nan])))
+        assert [v[0] for v in rep.violations] == ["non_finite"]
+        D = np.array([[0, np.inf, 1.0], [np.inf, 0, 1.0], [1.0, 1.0, 0]])
+        rep = core.validate(FiniteSpace((0, 1, 2), D, np.ones(3)))
+        assert not rep.ok
+        assert {v[0] for v in rep.violations} == {"non_finite"}
+
 
 class TestRescale:
     def test_identity(self):
@@ -244,6 +253,15 @@ class TestSpaceJson:
                "weights": [1, 1, 1], "base": 0}
         with pytest.raises(ValueError):
             core.load_space(obj)
+
+    def test_non_finite_rejected(self):
+        nan, inf = float("nan"), float("inf")
+        for data, weights in (([[0, inf], [inf, 0]], [1, 1]),
+                              ([[0, 1], [1, 0]], [1, nan])):
+            obj = {"points": [0, 1], "metric": {"kind": "matrix", "data": data},
+                   "weights": weights, "base": 0}
+            with pytest.raises(ValueError, match="non-finite"):
+                core.load_space(obj)
 
 
 class TestInvariantsMisc:

@@ -116,15 +116,83 @@ class TestW2Exact:
                 for k in range(4):
                     assert dmat[i, j] <= dmat[i, k] + dmat[k, j] + 1e-8
 
-    def test_cache_roundtrip(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(transport.CACHE_ENV, str(tmp_path))
-        sp = line_space(6)
-        mu0 = np.full(6, 1 / 6)
-        mu1 = np.zeros(6); mu1[0] = 1.0
-        r1 = transport.w2(sp, mu0, mu1)
-        r2 = transport.w2(sp, mu0, mu1)
-        assert r2.meta.get("cache") == "hit"
-        assert r1.cost_squared == r2.cost_squared
+    def test_meta_certificate_randomized(self):
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            n = int(rng.integers(2, 16))
+            pts = rng.random((n, 2)) * 3
+            D = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
+            sp = FiniteSpace(tuple(range(n)), D, np.ones(n))
+            mu0, mu1 = random_measure(rng, n), random_measure(rng, n)
+            res = transport.w2(sp, mu0, mu1)
+            rows, cols = np.flatnonzero(mu0 > 0), np.flatnonzero(mu1 > 0)
+            C = D[np.ix_(rows, cols)] ** 2
+            u, v = res.meta["u"], res.meta["v"]
+            red = C - u[:, None] - v[None, :]
+            assert res.meta["min_reduced_cost"] == pytest.approx(red.min(), abs=1e-12)
+            assert red.min() >= -1e-9 * max(1.0, C.max())
+            dual = mu0[rows] @ u + mu1[cols] @ v
+            assert res.meta["duality_gap"] <= 1e-9
+            assert abs(res.cost_squared - dual) <= 1e-9
+
+    def test_cache_env_ignored(self, tmp_path, monkeypatch):
+        # an on-disk cache once served repeated solves without their duals
+        from mmslab import curvature
+
+        monkeypatch.setenv("MMS_LAB_CACHE", str(tmp_path))
+        sp = line_space(4)
+        mu0 = np.array([0.5, 0.5, 0.0, 0.0])
+        mu1 = np.array([0.0, 0.0, 0.5, 0.5])
+        first = curvature.enumerate_optimal_plans(sp, mu0, mu1)
+        second = curvature.enumerate_optimal_plans(sp, mu0, mu1)
+        assert len(first) == len(second) >= 1
+
+
+class TestTransportLP:
+    def test_teleport_certificate_randomized(self):
+        rng = np.random.default_rng(31)
+        for _ in range(30):
+            n0, n1 = (int(k) for k in rng.integers(1, 14, size=2))
+            pts = rng.random((n0 + n1, 2)) * 1.5
+            C = np.minimum(np.linalg.norm(pts[:n0, None] - pts[None, n0:], axis=2), 1.0)
+            a, b = rng.random(n0) + 0.05, rng.random(n1) + 0.05
+            gamma, cost, u, v, cert = transport.transport_lp(C, a, b, teleport=1.0)
+            # independent check of the dual: feasible on every column
+            red = min((C - u[:, None] - v[None, :]).min(), (1.0 - u).min(), (1.0 - v).min())
+            assert red >= -1e-9
+            assert cert["min_reduced_cost"] == pytest.approx(red, abs=1e-12)
+            assert abs(cost - (a @ u + b @ v)) <= 1e-9
+            assert cert["duality_gap"] <= 1e-9
+            # primal: the plan plus teleported remainders pays the cost
+            ra, rb = a - gamma.sum(axis=1), b - gamma.sum(axis=0)
+            assert ra.min() >= -1e-9 and rb.min() >= -1e-9
+            assert (gamma * C).sum() + ra.sum() + rb.sum() == pytest.approx(cost, abs=1e-9)
+
+    def test_teleport_on_capped_cost_equals_gap_lp(self):
+        from mmslab.pmgh import _gap_lp
+
+        rng = np.random.default_rng(33)
+        for _ in range(20):
+            n = int(rng.integers(2, 14))
+            pts = rng.random((n, 2)) * 1.5
+            C = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
+            wa, wb = rng.random(n) + 0.05, rng.random(n) + 0.05
+            identity = np.stack([np.arange(n), np.arange(n)], axis=1)
+            direct = transport.transport_lp(np.minimum(C, 1.0), wa, wb, teleport=1.0)[1]
+            assert direct == pytest.approx(_gap_lp(C, C, wa, wb, identity), abs=1e-12)
+
+    def test_infeasible_duals_raise(self, monkeypatch):
+        solve = transport.linprog
+
+        def shifted(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            res.eqlin.marginals = np.asarray(res.eqlin.marginals) + 1.0
+            return res
+
+        monkeypatch.setattr(transport, "linprog", shifted)
+        C = np.array([[0.0, 4.0], [4.0, 0.0]])
+        with pytest.raises(RuntimeError, match="infeasible"):
+            transport.transport_lp(C, np.array([0.3, 0.7]), np.array([0.6, 0.4]))
 
 
 class TestEntropic:
