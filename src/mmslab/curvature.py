@@ -9,8 +9,6 @@ exhaustive mode enumerates every vertex-optimal plan on tiny instances.
 """
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -168,41 +166,6 @@ class CdReport:
 
     def slack_table(self) -> np.ndarray:
         return np.array([[r.t, r.nprime, r.lhs, r.rhs, r.slack] for r in self.rows])
-
-    def to_json(self) -> str:
-        def _num(x):
-            if x == math.inf:
-                return "inf"
-            if x == -math.inf:
-                return "-inf"
-            return x
-        obj = {
-            "K": self.K, "N": self.N,
-            "t_grid": list(self.t_grid), "nprime_grid": list(self.nprime_grid),
-            "tolerance": self.tol,
-            "verdict": self.verdict,
-            "worst": None if self.worst is None else {
-                "t": self.worst.t, "nprime": self.worst.nprime,
-                "slack": _num(self.worst.slack),
-            },
-            "rows": [
-                {"t": r.t, "nprime": r.nprime, "lhs": _num(r.lhs),
-                 "rhs": _num(r.rhs), "slack": _num(r.slack),
-                 "singular_mass": r.singular_mass}
-                for r in self.rows
-            ],
-            "plan_provenance": {k: v for k, v in self.plan_provenance.items()
-                                if isinstance(v, (str, int, float, bool))},
-            "notes": list(self.notes),
-        }
-        return json.dumps(obj, indent=2, sort_keys=True)
-
-    def write_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["t", "nprime", "lhs", "rhs", "slack", "singular_mass"])
-            for r in self.rows:
-                wr.writerow([r.t, r.nprime, r.lhs, r.rhs, r.slack, r.singular_mass])
 
 
 _H_NOTE = ("tolerance follows the 5*h*diam discretization convention; "
@@ -486,20 +449,6 @@ class ProlongReport:
     ball_mass: float
     rows: tuple
     coverage: float           # mass fraction of the ball reached by some E_t
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "x0": self.x0, "R": self.R, "N": self.N, "K": self.K,
-            "ball_mass": self.ball_mass, "coverage": self.coverage,
-            "rows": [vars(r) for r in self.rows],
-        }, indent=2, sort_keys=True)
-
-    def write_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["t", "support_ratio", "energy", "jensen_bound", "rhs_one_sided"])
-            for r in self.rows:
-                wr.writerow([r.t, r.support_ratio, r.energy, r.jensen_bound, r.rhs_one_sided])
 
 
 def prolongability_experiment(

@@ -9,7 +9,6 @@ together with its certificate correspondence.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -266,13 +265,13 @@ class _CorrState:
 
     def delta_a(self, i: int, j_new: int) -> float:
         j_old = int(self.ys[i])
+        if j_old == j_new:
+            return 0.0
         dS = self._dS(i, i, j_new)
         wi = self.wa[i]
         tv_old = abs(self.push_a[j_old] - self.wb[j_old]) + abs(self.push_a[j_new] - self.wb[j_new])
         tv_new = (abs(self.push_a[j_old] - wi - self.wb[j_old])
                   + abs(self.push_a[j_new] + wi - self.wb[j_new]))
-        if j_old == j_new:
-            return 0.0
         return dS / (self.m * self.m) + (tv_new - tv_old)
 
     def apply_a(self, i: int, j_new: int):
@@ -633,19 +632,6 @@ class PmghEstimate:
     lower_bound: float | None
     mode: str
     swapped: bool             # True if inputs were reordered internally
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "value": self.value,
-            "mode": self.mode,
-            "lower_bound": self.lower_bound,
-            "per_radius": [
-                {"radius": t.radius, "weight": t.weight, "distortion": t.distortion,
-                 "measure_gap": t.measure_gap, "term": t.term, "aggregated": t.aggregated}
-                for t in self.per_radius
-            ],
-            "certificates": [c.pairs.tolist() for c in self.certificates],
-        }, indent=2, sort_keys=True)
 
 
 def _content_key(ps: PointedSpace) -> tuple:

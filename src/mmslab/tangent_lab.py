@@ -7,7 +7,6 @@ and iterate to count Euclidean dimensions.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -175,15 +174,6 @@ class IteratedTangentReport:
     comparisons: tuple           # rows (rho, original_radius, value)
     best_value: float
     best_pair: tuple | None
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "y_prime": self.y_prime,
-            "offset_requested": self.offset_requested,
-            "offset_actual": self.offset_actual,
-            "best_value": self.best_value,
-            "comparisons": [list(c) for c in self.comparisons],
-        }, indent=2, sort_keys=True)
 
 
 def iterated_tangent_check(
@@ -637,13 +627,6 @@ class DimensionTrace:
     records: tuple
     remainder: PointedSpace | None
     stopped_because: str
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "stopped_because": self.stopped_because,
-            "remainder_points": None if self.remainder is None else self.remainder.n,
-            "stages": [vars(r) for r in self.records],
-        }, indent=2, sort_keys=True)
 
 
 def euclidean_dimension(ps: PointedSpace, config: DimensionConfig) -> tuple[int, DimensionTrace]:

@@ -1,5 +1,6 @@
 """CLI: exit codes, artifacts, determinism of reports."""
 import argparse
+import inspect
 import json
 import re
 from pathlib import Path
@@ -17,9 +18,21 @@ def run(args):
     return main(args)
 
 
-def assert_golden(out, name):
-    """report.json is byte-identical to the stored golden report of this case."""
-    assert (out / "report.json").read_bytes() == (GOLDEN / f"{name}.report.json").read_bytes()
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def strict_report(out):
+    """report.json parsed as strict JSON: NaN and Infinity literals are refused."""
+    return json.loads((out / "report.json").read_text(), parse_constant=_reject_constant)
+
+
+def assert_golden(out, name, *csvs):
+    """report.json (strict JSON) and the named CSVs are byte-identical to the
+    stored golden files of this case."""
+    strict_report(out)
+    for fname in ("report.json", *csvs):
+        assert (out / fname).read_bytes() == (GOLDEN / f"{name}.{fname}").read_bytes(), fname
 
 
 def test_models_list(capsys):
@@ -36,7 +49,7 @@ def test_w2_command(tmp_path, capsys):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["cost_squared"] == pytest.approx(0.36, abs=1e-9)
     assert (tmp_path / "plan.csv").exists()
-    assert_golden(tmp_path, "w2")
+    assert_golden(tmp_path, "w2", "plan.csv")
 
 
 def test_cdstar_command_holds(tmp_path, capsys):
@@ -47,7 +60,7 @@ def test_cdstar_command_holds(tmp_path, capsys):
     assert report["verdict"] == "holds"
     assert (tmp_path / "slack.csv").exists()
     assert (tmp_path / "slack.svg").read_text().startswith("<svg")
-    assert_golden(tmp_path, "cdstar")
+    assert_golden(tmp_path, "cdstar", "slack.csv")
 
 
 def test_ghdist_identity_zero(tmp_path, capsys):
@@ -72,13 +85,30 @@ def test_dimension_command(tmp_path, capsys):
     assert_golden(tmp_path, "dimension")
 
 
+def test_dimension_degenerate_report_is_strict_json(tmp_path, capsys):
+    # a window too small for any blow-up member leaves a NaN member radius
+    argv = ["dimension", "euclidean-grid:1d,h=0.1,extent=8", "--N", "1",
+            "--window", "0.2", "--out", str(tmp_path)]
+    assert run(argv) == 0
+    report = strict_report(tmp_path)
+    assert report["stages"][0]["status"] == "degenerate"
+    assert report["stages"][0]["member_radius"] == "nan"
+
+
+def test_metadata_records_main_argv(tmp_path, capsys):
+    argv = ["doubling", "euclidean-grid:1d,h=0.1,extent=1", "--radii", "0.25",
+            "--out", str(tmp_path)]
+    assert run(argv) == 0
+    assert json.loads((tmp_path / "metadata.json").read_text())["argv"] == argv
+
+
 def test_prolong_command(tmp_path):
     code = run(["prolong", "euclidean-grid:2d,h=0.05,extent=0.5,shape=ball",
                 "--R", "0.5", "--N", "2", "--out", str(tmp_path), "--svg"])
     assert code == 0
     assert (tmp_path / "prolong.csv").exists()
     assert (tmp_path / "prolong.svg").exists()
-    assert_golden(tmp_path, "prolong")
+    assert_golden(tmp_path, "prolong", "prolong.csv")
 
 
 def test_doubling_command(tmp_path):
@@ -87,7 +117,7 @@ def test_doubling_command(tmp_path):
     assert code == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["iterated_violations"] == 0
-    assert_golden(tmp_path, "doubling")
+    assert_golden(tmp_path, "doubling", "doubling.csv")
 
 
 def test_split_command(tmp_path):
@@ -108,7 +138,7 @@ def test_blowup_command_with_target(tmp_path):
     assert code == 0
     assert (tmp_path / "convergence.csv").exists()
     assert (tmp_path / "member_0.json").exists()
-    assert_golden(tmp_path, "blowup")
+    assert_golden(tmp_path, "blowup", "convergence.csv")
 
 
 def test_validation_error_exit_code(tmp_path):
@@ -144,11 +174,24 @@ def test_non_finite_space_exit_code(tmp_path):
     assert code == cli.EXIT_VALIDATION
 
 
+def _source_reading_args(fn, seen=()):
+    """Source of fn plus that of every cli helper it hands ``args`` to."""
+    text = inspect.getsource(fn)
+    for name in set(re.findall(r"\b(_\w+)\(args[,)]", text)) - set(seen):
+        text += _source_reading_args(getattr(cli, name), (*seen, name))
+    return text
+
+
 def test_every_option_is_read():
-    # an option no command reads is a silent no-op
-    text = Path(cli.__file__).read_text()
+    # an option a command accepts but never reads is a silent no-op
     subparsers = next(a for a in cli.build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction))
-    dests = {a.dest for sp in subparsers.choices.values() for a in sp._actions
-             if a.dest != argparse.SUPPRESS and a.dest != "help"}
-    assert not sorted(d for d in dests if not re.search(rf"\bargs\.{d}\b", text))
+    unread = []
+    for command, sp in subparsers.choices.items():
+        text = _source_reading_args(sp.get_default("fn"))
+        for a in sp._actions:
+            if a.dest in (argparse.SUPPRESS, "help") or (command, a.dest) == ("cdstar", "seed"):
+                continue  # the benchmark passes --seed to cdstar, which has no randomness
+            if not re.search(rf"\bargs\.{a.dest}\b", text):
+                unread.append((command, a.dest))
+    assert not unread

@@ -1,4 +1,5 @@
 """Distortion coefficients, Renyi energies, the convexity checker, prolongability."""
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmslab import core, curvature, models, transport
+from mmslab import cli, core, curvature, models, transport
 from mmslab.core import FiniteSpace, PointedSpace
 
 from oracles import sigma_hp
@@ -215,14 +216,14 @@ class TestCdstar:
                                      mode="dirac_target", tol=0.5)
         assert rep.verdict in ("holds", "violated")
 
-    def test_report_serialization(self, tmp_path):
+    def test_report_serialization(self):
+        # the report is plain data that the CLI serializer writes as strict JSON
         ps = grid_1d(0.05)
         mu0, mu1 = halves(ps)
         rep = curvature.cdstar_check(ps.space, mu0, mu1, K=0.0, N=1.0)
-        text = rep.to_json()
-        assert "verdict" in text and "notes" in text
-        rep.write_csv(str(tmp_path / "slack.csv"))
-        assert (tmp_path / "slack.csv").read_text().startswith("t,nprime")
+        obj = json.loads(json.dumps(cli._plain(rep), allow_nan=False))
+        assert obj["verdict"] == "holds" and obj["notes"]
+        assert list(obj["rows"][0]) == ["t", "nprime", "lhs", "rhs", "slack", "singular_mass"]
 
 
 class TestEnumerateOptimalPlans:

@@ -1,8 +1,10 @@
 """Blow-ups, tangent matching, line detection, splitting, dimension iteration."""
+import json
+
 import numpy as np
 import pytest
 
-from mmslab import core, models, pmgh, tangent_lab as tl
+from mmslab import cli, core, models, pmgh, tangent_lab as tl
 from mmslab.core import FiniteSpace, PointedSpace
 
 
@@ -241,4 +243,5 @@ class TestEuclideanDimension:
     def test_trace_serializes(self):
         n, trace = tl.euclidean_dimension(grid(1, 0.1, 8.0),
                                           tl.DimensionConfig(N=1.0, window=4.0))
-        assert "stages" in trace.to_json()
+        stages = json.loads(json.dumps(cli._plain(trace.records), allow_nan=False))
+        assert stages and all("status" in st for st in stages)
