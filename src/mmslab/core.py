@@ -11,8 +11,8 @@ everything here is safe to share across parallel workers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Any, Sequence
 
 import numpy as np
 

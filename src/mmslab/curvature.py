@@ -10,8 +10,8 @@ exhaustive mode enumerates every vertex-optimal plan on tiny instances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .core import FiniteSpace
 from .transport import (
     Coupling,
     GeodesicPlan,
-    MassMismatchError,
     as_probability,
     geodesic_plan,
     w2,

@@ -6,14 +6,14 @@ the measures converge to Lebesgue under refinement.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .core import FiniteSpace, PointedSpace
-from .transport import Interpolator, MetricInterpolator
+from .transport import Interpolator
 
 __all__ = ["ModelSpec", "GroundTruth", "make", "ground_truth", "KINDS", "parse_spec"]
 
@@ -135,6 +135,13 @@ def ground_truth(kind: str) -> GroundTruth:
 # Interpolators
 # ---------------------------------------------------------------------------
 
+def _lattice_index(v, h: float) -> np.ndarray:
+    """Nearest lattice index of v on the h-lattice, per axis. v/h is quantized
+    to 9 decimals first so float noise cannot flip a half-cell tie, and ties
+    go down (to the lower index)."""
+    return np.ceil(np.round(np.asarray(v) / h, 9) - 0.5).astype(np.int64)
+
+
 class GridInterpolator(Interpolator):
     """Straight-line interpolation snapped to the nearest sample point.
 
@@ -154,10 +161,7 @@ class GridInterpolator(Interpolator):
         self.eps_geo = 1.5 * self.h if eps_geo is None else float(eps_geo)
 
     def _snap(self, target: np.ndarray) -> int:
-        # quantize before the tie test so float noise cannot flip half-cell ties
-        v = np.round(target / self.h, 9)
-        k = np.ceil(v - 0.5).astype(np.int64)  # half-cell ties go down
-        hit = self._lookup.get(tuple(k))
+        hit = self._lookup.get(tuple(_lattice_index(target, self.h)))
         if hit is not None:
             return hit
         p = self.p if np.isfinite(self.p) else np.inf
@@ -188,17 +192,13 @@ class CylinderInterpolator(Interpolator):
         ds = (s2 - s1 + self.circ / 2) % self.circ - self.circ / 2
         z = (1 - t) * z1 + t * z2
         s = (s1 + t * ds) % self.circ
-        kz = int(np.ceil(round(z / self.h, 9) - 0.5))
-        ks = int(np.ceil(round(s / self.h, 9) - 0.5)) % self.n_s
+        kz, ks = _lattice_index((z, s), self.h).tolist()
+        ks %= self.n_s
         hit = self._lookup.get((kz, ks))
         if hit is None:  # axis ends
             zs = self.coords[:, 0]
-            kz = int(np.ceil(np.clip(z, zs.min(), zs.max()) / self.h - 0.5))
-            hit = self._lookup[(kz, ks)]
+            hit = self._lookup[(int(_lattice_index(np.clip(z, zs.min(), zs.max()), self.h)), ks)]
         return hit
-
-    def restrict(self, idx):
-        return _RemappedInterpolator(self, idx)
 
 
 class SphereInterpolator(Interpolator):
@@ -219,9 +219,6 @@ class SphereInterpolator(Interpolator):
         w = (np.sin((1 - t) * ang) * u + np.sin(t * ang) * v) / np.sin(ang)
         w = w / np.linalg.norm(w) * self.radius
         return int(self._tree.query(w)[1])
-
-    def restrict(self, idx):
-        return _RemappedInterpolator(self, idx)
 
 
 class ConeInterpolator(Interpolator):
@@ -259,9 +256,6 @@ class ConeInterpolator(Interpolator):
         psi = float(np.arctan2(q[1], q[0]))
         return self._nearest(r, (p1 + psi) % self.alpha)
 
-    def restrict(self, idx):
-        return _RemappedInterpolator(self, idx)
-
 
 class GraphInterpolator(Interpolator):
     """Shortest-path interpolation: walk the path to fraction t of its length."""
@@ -285,33 +279,6 @@ class GraphInterpolator(Interpolator):
         cum = np.array([self.metric[i, k] for k in path])
         target = t * self.metric[i, j]
         return int(path[int(np.argmin(np.abs(cum - target)))])
-
-    def restrict(self, idx):
-        return _RemappedInterpolator(self, idx)
-
-
-class _RemappedInterpolator(Interpolator):
-    """View of a parent oracle on a subset; falls back to nearest kept point."""
-
-    def __init__(self, parent: Interpolator, idx: np.ndarray):
-        self.parent = parent
-        self.idx = np.asarray(idx, dtype=int)
-        self._pos = {int(g): k for k, g in enumerate(self.idx)}
-        self._metric = getattr(parent, "metric", None)
-        self.eps_geo = parent.eps_geo
-
-    def _at(self, i: int, j: int, t: float) -> int:
-        g = self.parent(int(self.idx[i]), int(self.idx[j]), t)
-        hit = self._pos.get(int(g))
-        if hit is not None:
-            return hit
-        if self._metric is not None:
-            return int(np.argmin(self._metric[g, self.idx]))
-        # generic fallback: endpoint closest in parameter
-        return int(i if t < 0.5 else j)
-
-    def restrict(self, idx):
-        return _RemappedInterpolator(self, idx)
 
 
 # ---------------------------------------------------------------------------

@@ -162,7 +162,8 @@ def measure_gap(A: PointedSpace, B: PointedSpace, corr: Correspondence, R: float
 
 
 def _aggregate(ball: _Ball, k: int) -> tuple[_Ball, np.ndarray, float]:
-    """Farthest-point anchors with mass assignment; returns the movement slack."""
+    """Farthest-point anchors: the anchor ball, each point's anchor (its local
+    index there) and the movement slack."""
     n = len(ball.w)
     anchors = [ball.base]
     dist_to = ball.D[ball.base].copy()
@@ -181,7 +182,7 @@ def _aggregate(ball: _Ball, k: int) -> tuple[_Ball, np.ndarray, float]:
                 D=ball.D[np.ix_(anchors_arr, anchors_arr)],
                 w=w_agg,
                 base=int(np.searchsorted(anchors_arr, ball.base)))
-    return agg, anchors_arr, move
+    return agg, assign, move
 
 
 def _gap_upper(ball_a: _Ball, ball_b: _Ball, loc: np.ndarray) -> tuple[float, bool]:
@@ -189,12 +190,8 @@ def _gap_upper(ball_a: _Ball, ball_b: _Ball, loc: np.ndarray) -> tuple[float, bo
     na, nb = len(ball_a.w), len(ball_b.w)
     if na <= EXACT_CAP and nb <= EXACT_CAP:
         return _gap_lp(ball_a.D, ball_b.D, ball_a.w, ball_b.w, loc), False
-    agg_a, anchors_a, move_a = _aggregate(ball_a, EXACT_CAP)
-    agg_b, anchors_b, move_b = _aggregate(ball_b, EXACT_CAP)
-    pos_a = {int(g): i for i, g in enumerate(anchors_a)}
-    pos_b = {int(g): i for i, g in enumerate(anchors_b)}
-    assign_a = np.argmin(ball_a.D[:, anchors_a], axis=1)
-    assign_b = np.argmin(ball_b.D[:, anchors_b], axis=1)
+    agg_a, assign_a, move_a = _aggregate(ball_a, EXACT_CAP)
+    agg_b, assign_b, move_b = _aggregate(ball_b, EXACT_CAP)
     loc_agg = np.unique(np.stack([assign_a[loc[:, 0]], assign_b[loc[:, 1]]], axis=1), axis=0)
     gap = _gap_lp(agg_a.D, agg_b.D, agg_a.w, agg_b.w, loc_agg)
     return gap + move_a + move_b, True
@@ -228,9 +225,12 @@ class _CorrState:
     """Mapping-pair correspondence with an incrementally updated objective.
 
     The relation is graph(fa) union transpose(graph(gb)), stored as parallel
-    pair arrays xs, ys of length na+nb (base pair pinned). The smooth
-    objective is mean squared distortion over the pair list plus the
-    pushforward TV mismatch; both admit O(na+nb) deltas per reassignment.
+    pair arrays xs, ys of length m = na+nb (base pair pinned): pair k < na is
+    (k, fa[k]) and pair k >= na is (gb[k-na], k-na). A move reassigns the free
+    end of one pair, the B end for k < na and the A end for k >= na, so one
+    delta/apply pair serves both sides. The smooth objective is mean squared
+    distortion over the pair list plus the pushforward TV mismatch; both
+    admit O(m) deltas per move.
     """
 
     def __init__(self, DA, DB, wa, wb, fa, gb, base_a, base_b):
@@ -240,7 +240,6 @@ class _CorrState:
         gb = gb.copy()
         fa[base_a] = base_b
         gb[base_b] = base_a
-        self.base_a, self.base_b = base_a, base_b
         self.xs = np.concatenate([np.arange(self.na), gb])
         self.ys = np.concatenate([fa, np.arange(self.nb)])
         self.m = self.na + self.nb
@@ -255,49 +254,32 @@ class _CorrState:
         tv = float(np.abs(self.push_a - self.wb).sum() + np.abs(self.push_b - self.wa).sum())
         return self.S / (self.m * self.m) + tv
 
-    def _dS(self, k: int, x_new: int, y_new: int) -> float:
+    def _move(self, k: int, new: int):
+        """Free-end array, the pushforward it feeds with its target weights,
+        the mass of pair k, and the moved pair."""
+        if k < self.na:
+            return self.ys, self.push_a, self.wb, self.wa[k], (k, new)
+        return self.xs, self.push_b, self.wa, self.wb[k - self.na], (new, k - self.na)
+
+    def delta(self, k: int, new: int) -> float:
+        ends, push, target, wk, (x, y) = self._move(k, new)
+        old_end = int(ends[k])
+        if old_end == new:
+            return 0.0
         old = self.DA[self.xs[k], self.xs] - self.DB[self.ys[k], self.ys]
-        xs2 = self.xs.copy()
-        ys2 = self.ys.copy()
-        xs2[k], ys2[k] = x_new, y_new
-        new = self.DA[x_new, xs2] - self.DB[y_new, ys2]
-        return 2.0 * float((new**2).sum() - (old**2).sum())
-
-    def delta_a(self, i: int, j_new: int) -> float:
-        j_old = int(self.ys[i])
-        if j_old == j_new:
-            return 0.0
-        dS = self._dS(i, i, j_new)
-        wi = self.wa[i]
-        tv_old = abs(self.push_a[j_old] - self.wb[j_old]) + abs(self.push_a[j_new] - self.wb[j_new])
-        tv_new = (abs(self.push_a[j_old] - wi - self.wb[j_old])
-                  + abs(self.push_a[j_new] + wi - self.wb[j_new]))
+        row = self.DA[x, self.xs] - self.DB[y, self.ys]
+        row[k] = self.DA[x, x] - self.DB[y, y]
+        dS = 2.0 * float((row**2).sum() - (old**2).sum())
+        tv_old = abs(push[old_end] - target[old_end]) + abs(push[new] - target[new])
+        tv_new = (abs(push[old_end] - wk - target[old_end])
+                  + abs(push[new] + wk - target[new]))
         return dS / (self.m * self.m) + (tv_new - tv_old)
 
-    def apply_a(self, i: int, j_new: int):
-        j_old = int(self.ys[i])
-        self.push_a[j_old] -= self.wa[i]
-        self.push_a[j_new] += self.wa[i]
-        self.ys[i] = j_new
-
-    def delta_b(self, j: int, i_new: int) -> float:
-        k = self.na + j
-        i_old = int(self.xs[k])
-        if i_old == i_new:
-            return 0.0
-        dS = self._dS(k, i_new, j)
-        wj = self.wb[j]
-        tv_old = abs(self.push_b[i_old] - self.wa[i_old]) + abs(self.push_b[i_new] - self.wa[i_new])
-        tv_new = (abs(self.push_b[i_old] - wj - self.wa[i_old])
-                  + abs(self.push_b[i_new] + wj - self.wa[i_new]))
-        return dS / (self.m * self.m) + (tv_new - tv_old)
-
-    def apply_b(self, j: int, i_new: int):
-        k = self.na + j
-        i_old = int(self.xs[k])
-        self.push_b[i_old] -= self.wb[j]
-        self.push_b[i_new] += self.wb[j]
-        self.xs[k] = i_new
+    def apply(self, k: int, new: int):
+        ends, push, _, wk, _ = self._move(k, new)
+        push[ends[k]] -= wk
+        push[new] += wk
+        ends[k] = new
 
     def pairs_local(self) -> np.ndarray:
         return np.unique(np.stack([self.xs, self.ys], axis=1), axis=0)
@@ -400,62 +382,43 @@ def _anneal_radius(ball_a: _Ball, ball_b: _Ball, seed: int,
         ys = np.concatenate([np.full(na, base_b), np.arange(nb)])
         return np.unique(np.stack([xs, ys], axis=1), axis=0)
 
-    best_init = None
-    best_obj = math.inf
-    cands, EA, EB = _init_candidates(DA, DB, wa, wb, base_a, base_b)
-    for fa, gb in cands:
-        st = _CorrState(DA, DB, wa, wb, fa, gb, base_a, base_b)
-        obj = st.objective()
-        if obj < best_obj:
-            best_obj, best_init = obj, st.snapshot()
-    assert best_init is not None
-    if EA is not None and EB is not None:
-        fa, gb = _icp_refine(EA, EB, best_init[0], best_init[1])
-        st = _CorrState(DA, DB, wa, wb, fa, gb, base_a, base_b)
-        if st.objective() < best_obj:
-            best_obj, best_init = st.objective(), st.snapshot()
+    def state(fa, gb):
+        return _CorrState(DA, DB, wa, wb, fa, gb, base_a, base_b)
 
-    overall: list[tuple[float, np.ndarray]] = []
-    for r in range(restarts):
-        st = _CorrState(DA, DB, wa, wb, best_init[0], best_init[1], base_a, base_b)
+    cands, EA, EB = _init_candidates(DA, DB, wa, wb, base_a, base_b)
+    best = min((state(fa, gb) for fa, gb in cands), key=_CorrState.objective)
+    if EA is not None and EB is not None:
+        icp = state(*_icp_refine(EA, EB, *best.snapshot()))
+        best = min((best, icp), key=_CorrState.objective)
+    start = best.snapshot()
+
+    def restart(r: int) -> tuple[float, np.ndarray]:
+        st = state(*start)
         cur = st.objective()
-        best_val = cur
-        best_pairs = st.pairs_local()
+        best_val, best_pairs = cur, st.pairs_local()
         temp = max(cur, 1e-6) * (0.3 if r == 0 else 1.0)
         rng = np.random.default_rng(seed + 101 * r)
         side_a = rng.random(proposals) < na / (na + nb)
         picks = rng.integers(0, 1 << 30, size=(proposals, 2))
         accept_u = rng.random(proposals)
+        # pair k < na moves its B end, pair na + j its A end; the base pairs stay
+        ks = np.where(side_a, picks[:, 0] % na, na + picks[:, 0] % nb)
+        news = np.where(side_a, picks[:, 1] % nb, picks[:, 1] % na)
+        pinned = (base_a, na + base_b)
         for step in range(proposals):
             temp *= 0.99
-            if side_a[step]:
-                i = int(picks[step, 0] % na)
-                if i == base_a:
-                    continue
-                j_new = int(picks[step, 1] % nb)
-                d = st.delta_a(i, j_new)
-                if d <= 0 or accept_u[step] < math.exp(-d / max(temp, 1e-300)):
-                    st.apply_a(i, j_new)
-                    cur += d
-                else:
-                    continue
-            else:
-                j = int(picks[step, 0] % nb)
-                if j == base_b:
-                    continue
-                i_new = int(picks[step, 1] % na)
-                d = st.delta_b(j, i_new)
-                if d <= 0 or accept_u[step] < math.exp(-d / max(temp, 1e-300)):
-                    st.apply_b(j, i_new)
-                    cur += d
-                else:
-                    continue
-            if cur < best_val - 1e-15:
-                best_val = cur
-                best_pairs = st.pairs_local()
-        overall.append((best_val, best_pairs))
-    overall.sort(key=lambda t: t[0])
-    return overall[0][1]
+            k, new = int(ks[step]), int(news[step])
+            if k in pinned:
+                continue
+            d = st.delta(k, new)
+            if d <= 0 or accept_u[step] < math.exp(-d / max(temp, 1e-300)):
+                st.apply(k, new)
+                cur += d
+                if cur < best_val - 1e-15:
+                    best_val, best_pairs = cur, st.pairs_local()
+        return best_val, best_pairs
+
+    return min((restart(r) for r in range(restarts)), key=lambda t: t[0])[1]
 
 
 def _free_flow(wa: np.ndarray, wb: np.ndarray, loc: np.ndarray) -> float:
@@ -514,25 +477,21 @@ def _free_flow(wa: np.ndarray, wb: np.ndarray, loc: np.ndarray) -> float:
 
 
 def _exhaustive_radius(ball_a: _Ball, ball_b: _Ball, budget: int,
-                       upper_pairs: np.ndarray | None) -> tuple[float, np.ndarray, dict]:
-    """Exact infimum of distortion + gap over all covering relations (tiny balls)."""
+                       upper_pairs: np.ndarray | None) -> np.ndarray:
+    """Relation attaining the exact infimum of distortion + gap over all
+    covering relations (tiny balls)."""
     na, nb = len(ball_a.w), len(ball_b.w)
     if na + nb > EXHAUSTIVE_POINT_LIMIT:
         raise PmghBudgetError(
             f"exhaustive mode limited to {EXHAUSTIVE_POINT_LIMIT} total ball points, got {na + nb}")
-    pairs = [(i, j) for i in range(na) for j in range(nb)]
     base_pair = (ball_a.base, ball_b.base)
-    pairs.remove(base_pair)
-    pairs.insert(0, base_pair)
+    pairs = np.array([base_pair] + [(i, j) for i in range(na) for j in range(nb)
+                                    if (i, j) != base_pair])
     P = len(pairs)
-    M = np.zeros((P, P))
-    for p in range(P):
-        ip, jp = pairs[p]
-        for q in range(P):
-            iq, jq = pairs[q]
-            M[p, q] = abs(ball_a.D[ip, iq] - ball_b.D[jp, jq])
-    row_bit = np.array([1 << i for i, _ in pairs], dtype=np.int64)
-    col_bit = np.array([1 << j for _, j in pairs], dtype=np.int64)
+    I, J = pairs[:, 0], pairs[:, 1]
+    M = np.abs(ball_a.D[np.ix_(I, I)] - ball_b.D[np.ix_(J, J)])
+    row_bit = np.left_shift(1, I, dtype=np.int64)
+    col_bit = np.left_shift(1, J, dtype=np.int64)
     # suffix coverage: what rows/cols the remaining pairs can still cover
     suf_rows = np.zeros(P + 1, dtype=np.int64)
     suf_cols = np.zeros(P + 1, dtype=np.int64)
@@ -561,7 +520,7 @@ def _exhaustive_radius(ball_a: _Ball, ball_b: _Ball, budget: int,
 
     def leaf(chosen: list[int], dist: float):
         nonlocal best, best_pairs
-        loc = np.array([pairs[p] for p in chosen], dtype=int)
+        loc = pairs[chosen]
         # sound lower bound: net mass difference pays the teleport cost and
         # mass that cannot ride free relation arcs pays at least eta
         leftover = min(mass_a, mass_b) - _free_flow(ball_a.w, ball_b.w, loc)
@@ -605,7 +564,7 @@ def _exhaustive_radius(ball_a: _Ball, ball_b: _Ball, budget: int,
 
     dfs(1, [0], 0.0, int(row_bit[0]), int(col_bit[0]))
     assert best_pairs is not None
-    return best, best_pairs, {"nodes": nodes}
+    return best_pairs
 
 
 # ---------------------------------------------------------------------------
@@ -649,13 +608,9 @@ def _content_key(ps: PointedSpace) -> tuple:
 def _surviving_radii(A: PointedSpace, B: PointedSpace, grid: Sequence[float]) -> list[float]:
     """Drop saturated radii: keep a radius only if either ball grew."""
     out: list[float] = []
-    prev_sizes = (-1, -1)
+    prev_sizes = None
     for R in sorted(grid):
         sizes = (int((A.base_distances() < R).sum()), int((B.base_distances() < R).sum()))
-        if not out:
-            out.append(R)
-            prev_sizes = sizes
-            continue
         if sizes != prev_sizes:
             out.append(R)
             prev_sizes = sizes
@@ -678,6 +633,15 @@ def pmgh_distance(
     the surviving grid radii. Symmetry is exact: inputs are reordered by a
     canonical content key before optimization and the certificate mirrored
     back, so D(A, B) and D(B, A) run the identical computation.
+
+    ``mode="anneal"`` searches each radius with ``restarts`` annealing runs of
+    ``proposals`` moves, seeded by ``seed`` plus the radius index; the value
+    is an upper bound backed by ``certificates`` (one relation per radius) and
+    ``lower_bound`` is None. ``mode="exhaustive"`` enumerates every covering
+    relation, with at most ``budget`` search nodes per radius, starting from a
+    short anneal; the value is exact and ``lower_bound`` equals it. It is
+    limited to EXHAUSTIVE_POINT_LIMIT (9) ball points in total per radius and
+    raises PmghBudgetError above that or past the budget (CLI exit 3).
     """
     if mode not in ("anneal", "exhaustive"):
         raise ValueError("mode must be 'anneal' or 'exhaustive'")
@@ -696,14 +660,11 @@ def pmgh_distance(
         weight = 2.0 ** (-k)
         if exact:
             seed_pairs = _anneal_radius(ball_x, ball_y, seed + k, proposals=2000, restarts=1)
-            _, loc, _ = _exhaustive_radius(ball_x, ball_y, budget, seed_pairs)
-            dist = _distortion_local(ball_x.D, ball_y.D, loc)
-            gap = _gap_lp(ball_x.D, ball_y.D, ball_x.w, ball_y.w, loc)
-            aggregated = False
+            loc = _exhaustive_radius(ball_x, ball_y, budget, seed_pairs)
         else:
             loc = _anneal_radius(ball_x, ball_y, seed + k, proposals=proposals, restarts=restarts)
-            dist = _distortion_local(ball_x.D, ball_y.D, loc)
-            gap, aggregated = _gap_upper(ball_x, ball_y, loc)
+        dist = _distortion_local(ball_x.D, ball_y.D, loc)
+        gap, aggregated = _gap_upper(ball_x, ball_y, loc)
         term = min(1.0, dist + gap)
         value += weight * term
         terms.append(RadiusTerm(radius=R, weight=weight, distortion=dist,
@@ -739,17 +700,12 @@ def convergence_diagnostic(
         est = pmgh_distance(ps, target, **kwargs)
         rows.append((label, est.value, est))
     vals = np.array([v for _, v, _ in rows])
-    if len(vals) == 0:
-        trend = "none"
-    elif np.all(np.abs(vals) < 1e-12):
+    trend = "none"
+    if len(vals) and np.all(np.abs(vals) < 1e-12):
         trend = "constant"
     elif len(vals) >= 2:
         diffs = np.diff(vals)
         mostly_down = (diffs <= 1e-12).sum() >= (diffs > 1e-12).sum()
         if mostly_down and vals[-1] <= 0.7 * vals[0] + 1e-12:
             trend = "decreasing"
-        else:
-            trend = "none"
-    else:
-        trend = "none"
     return {"rows": rows, "trend": trend}

@@ -8,7 +8,7 @@ and iterate to count Euclidean dimensions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np

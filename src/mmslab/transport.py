@@ -11,7 +11,7 @@ interpolation is delegated to an interpolation oracle that maps an
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import sparse
@@ -302,7 +302,30 @@ class Interpolator:
         return np.array([self._at(int(i), int(j), t) for i, j in zip(ii, jj)], dtype=int)
 
     def restrict(self, idx: np.ndarray) -> "Interpolator":
-        raise NotImplementedError
+        """Oracle on the points ``idx`` of this one; by default a view that
+        snaps answers outside the subset to a kept point."""
+        return _RemappedInterpolator(self, idx)
+
+
+class _RemappedInterpolator(Interpolator):
+    """View of a parent oracle on a subset; falls back to nearest kept point."""
+
+    def __init__(self, parent: Interpolator, idx: np.ndarray):
+        self.parent = parent
+        self.idx = np.asarray(idx, dtype=int)
+        self._pos = {int(g): k for k, g in enumerate(self.idx)}
+        self._metric = getattr(parent, "metric", None)
+        self.eps_geo = parent.eps_geo
+
+    def _at(self, i: int, j: int, t: float) -> int:
+        g = self.parent(int(self.idx[i]), int(self.idx[j]), t)
+        hit = self._pos.get(int(g))
+        if hit is not None:
+            return hit
+        if self._metric is not None:
+            return int(np.argmin(self._metric[g, self.idx]))
+        # generic fallback: endpoint closest in parameter
+        return int(i if t < 0.5 else j)
 
 
 class MetricInterpolator(Interpolator):

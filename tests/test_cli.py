@@ -76,6 +76,18 @@ def test_ghdist_identity_zero(tmp_path, capsys):
     assert_golden(tmp_path / "out", "ghdist")
 
 
+def test_ghdist_anneal_golden(tmp_path, capsys):
+    # anneal mode on balls past the exhaustive limit pins the search's certificates
+    code = run(["ghdist", "euclidean-grid:2d,h=0.5,extent=2,shape=ball",
+                "euclidean-grid:1d,h=0.4,extent=2", "--normalize", "--window", "2",
+                "--seed", "3", "--out", str(tmp_path)])
+    assert code == 0
+    report = strict_report(tmp_path)
+    assert report["value"] == pytest.approx(0.7736747530582685, abs=1e-12)
+    assert [len(c) for c in report["certificates"]] == [9, 46, 51]
+    assert_golden(tmp_path, "ghdist_anneal")
+
+
 def test_dimension_command(tmp_path, capsys):
     code = run(["dimension", "euclidean-grid:1d,h=0.1,extent=8", "--N", "1",
                 "--out", str(tmp_path)])

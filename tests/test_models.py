@@ -70,6 +70,29 @@ def test_lp_plane_interpolation_stays_on_segment():
         assert np.abs(c[k] - target).max() <= 0.05 + 1e-12
 
 
+def _index_of(coords, *x):
+    return int(np.argmin(np.abs(coords - np.array(x)).max(axis=1)))
+
+
+def test_half_cell_ties_snap_to_lower_lattice_index():
+    # a midpoint exactly between two lattice points goes to the lower index,
+    # from either end, whatever float noise t * h leaves in the target
+    grid = make(ModelSpec("euclidean-grid", dim=2, h=0.1, extent=1.0)).space
+    g, c = grid.interpolator, grid.coords
+    for a, b, low in [((0.3, 0.0), (0.4, 0.0), (0.3, 0.0)),
+                      ((-0.7, 0.2), (-0.6, 0.3), (-0.7, 0.2)),
+                      ((0.5, -0.4), (0.4, -0.5), (0.4, -0.5))]:
+        i, j = _index_of(c, *a), _index_of(c, *b)
+        assert g(i, j, 0.5) == g(j, i, 0.5) == _index_of(c, *low)
+    cyl = make(ModelSpec("cylinder", circumference=1.0, height=3.0, h=0.1)).space
+    f, c = cyl.interpolator, cyl.coords  # columns (z, s)
+    for a, b, low in [((0.2, 0.3), (0.3, 0.3), (0.2, 0.3)),    # along the axis
+                      ((-0.4, 0.6), (-0.4, 0.7), (-0.4, 0.6)),  # around the ring
+                      ((0.0, 0.9), (0.0, 0.0), (0.0, 0.9))]:    # across the seam
+        i, j = _index_of(c, *a), _index_of(c, *b)
+        assert f(i, j, 0.5) == f(j, i, 0.5) == _index_of(c, *low)
+
+
 def test_cone_metric_against_unrolled_sectors():
     # oracle: for angular separation below pi, unroll the sector to the plane
     # and measure the straight segment

@@ -217,6 +217,45 @@ class TestPmghDistance:
         assert '"value": 0.0' in json.dumps(cli._plain(est), allow_nan=False)
 
 
+def random_covering(rng, na, nb, base_a, base_b):
+    """graph(fa) union transpose(graph(gb)) for random maps, base pair included."""
+    fa, gb = rng.integers(nb, size=na), rng.integers(na, size=nb)
+    fa[base_a], gb[base_b] = base_b, base_a
+    xs = np.concatenate([np.arange(na), gb])
+    ys = np.concatenate([fa, np.arange(nb)])
+    return np.unique(np.stack([xs, ys], axis=1), axis=0)
+
+
+class TestAggregatedGap:
+    """Balls above EXACT_CAP points are compared through farthest-point anchors."""
+
+    def test_aggregated_gap_upper_bounds_exact_lp(self, monkeypatch):
+        monkeypatch.setattr(pmgh, "EXACT_CAP", 5)
+        rng = np.random.default_rng(12)
+        for _ in range(12):
+            na, nb = (int(n) for n in rng.integers(8, 21, size=2))
+            D, w = random_euclidean_space(rng, na)
+            D2, w2 = random_euclidean_space(rng, nb)
+            ball_a = _ball(PointedSpace(FiniteSpace(tuple(range(na)), D, w), 0), 10.0)
+            ball_b = _ball(PointedSpace(FiniteSpace(tuple(range(nb)), D2, w2), 0), 10.0)
+            loc = random_covering(rng, na, nb, ball_a.base, ball_b.base)
+            gap, aggregated = pmgh._gap_upper(ball_a, ball_b, loc)
+            assert aggregated
+            assert gap >= _gap_lp(ball_a.D, ball_b.D, ball_a.w, ball_b.w, loc) - 1e-9
+
+    def test_distance_labels_aggregated_radius(self, monkeypatch):
+        monkeypatch.setattr(pmgh, "EXACT_CAP", 5)
+        rng = np.random.default_rng(13)
+        D, w = random_euclidean_space(rng, 10)
+        D2, w2 = random_euclidean_space(rng, 12)
+        A = PointedSpace(FiniteSpace(tuple(range(10)), D, w), 0)
+        B = PointedSpace(FiniteSpace(tuple(range(12)), D2, w2), 0)
+        est = pmgh.pmgh_distance(A, B, R_grid=(10.0,), seed=1, proposals=500, restarts=1)
+        (term,) = est.per_radius
+        assert term.aggregated
+        assert term.measure_gap > 0.0
+
+
 class TestConvergenceDiagnostic:
     def test_constant_sequence_all_zero(self):
         A = two_point(1.0)
