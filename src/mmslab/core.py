@@ -5,16 +5,19 @@ weights (``FiniteSpace``), the same with a basepoint (``PointedSpace``),
 plus the operations every experiment builds on — rescaling, basepoint
 normalization, ball restriction, doubling profiling and metric products.
 
-All values are immutable after construction (arrays are frozen), so
-everything here is safe to share across parallel workers.
+All values are immutable after construction (arrays are frozen), so a
+derived space can share arrays with its source instead of copying them:
+``normalize_at`` changes only the weights and keeps the source's metric.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from os import PathLike
 from typing import Any, Sequence
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 __all__ = [
     "FiniteSpace",
@@ -122,17 +125,14 @@ class FiniteSpace:
             resolution=self.resolution,
         )
 
-    def scaled(self, metric_factor: float, weight_factor: float = 1.0) -> "FiniteSpace":
-        interp = self.interpolator  # index-level oracle; invariant under scaling
+    def scaled(self, metric_factor: float) -> "FiniteSpace":
+        """Distances and the declared resolution times ``metric_factor``.
+
+        Weights, coordinates and the interpolator (an index-level oracle,
+        invariant under scaling) are shared with this space.
+        """
         res = None if self.resolution is None else self.resolution * metric_factor
-        return FiniteSpace(
-            points=self.points,
-            metric=self.metric * metric_factor,
-            weights=self.weights * weight_factor,
-            coords=self.coords,
-            interpolator=interp,
-            resolution=res,
-        )
+        return replace(self, metric=self.metric * metric_factor, resolution=res)
 
 
 @dataclass(frozen=True)
@@ -279,11 +279,12 @@ def normalize_at(ps: PointedSpace, r: float) -> tuple[PointedSpace, float]:
     """Scale the measure so that the radius-r normalization identity holds.
 
     Returns the rescaled-measure space and the constant c applied to the
-    weights. Composing with ``rescale(.., r)`` yields a normalized pointed
+    weights; the new space shares the metric and every other field with
+    ``ps``. Composing with ``rescale(.., r)`` yields a normalized pointed
     space: sum over the open unit ball of (1 - d) w' equals 1.
     """
     c = normalization_constant(ps, r)
-    return PointedSpace(space=ps.space.scaled(1.0, weight_factor=c), base=ps.base), c
+    return PointedSpace(replace(ps.space, weights=ps.space.weights * c), ps.base), c
 
 
 def ball_restrict(ps: PointedSpace, r: float, mode: str = "open") -> PointedSpace:
@@ -438,8 +439,7 @@ def _metric_from_spec(spec: dict, n: int) -> np.ndarray:
             coords = coords[:, None]
         if coords.shape[0] != n:
             raise ValueError("euclidean coords have wrong length")
-        diff = coords[:, None, :] - coords[None, :, :]
-        return np.linalg.norm(diff, axis=2)
+        return cdist(coords, coords, "minkowski", p=2.0)
     if kind == "graph":
         from scipy.sparse import coo_matrix
         from scipy.sparse.csgraph import shortest_path
@@ -456,8 +456,8 @@ def _metric_from_spec(spec: dict, n: int) -> np.ndarray:
     raise ValueError(f"unknown metric kind {kind!r}")
 
 
-def load_space(source: str | dict) -> PointedSpace | FiniteSpace:
-    """Load a space from the JSON format (path, JSON string, or dict).
+def load_space(source: str | PathLike | dict) -> PointedSpace | FiniteSpace:
+    """Load a space from the JSON format: a file path, or the parsed dict.
 
     Returns a PointedSpace when "base" is present, else a FiniteSpace.
     Raises ValueError on non-finite distances or weights.
@@ -465,11 +465,8 @@ def load_space(source: str | dict) -> PointedSpace | FiniteSpace:
     if isinstance(source, dict):
         obj = source
     else:
-        text = source
-        if "{" not in text:
-            with open(source) as fh:
-                text = fh.read()
-        obj = json.loads(text)
+        with open(source) as fh:
+            obj = json.load(fh)
     points = obj["points"]
     n = len(points)
     metric = _metric_from_spec(obj["metric"], n)

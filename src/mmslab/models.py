@@ -11,21 +11,12 @@ from typing import Any
 
 import numpy as np
 from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
 from .core import FiniteSpace, PointedSpace
 from .transport import Interpolator
 
 __all__ = ["ModelSpec", "GroundTruth", "make", "ground_truth", "KINDS", "parse_spec"]
-
-KINDS = (
-    "euclidean-grid",
-    "lp-plane",
-    "sphere",
-    "cone",
-    "cylinder",
-    "weighted-segment",
-    "graph",
-)
 
 
 @dataclass(frozen=True)
@@ -122,6 +113,8 @@ _REGISTRY: dict[str, GroundTruth] = {
     ),
 }
 
+KINDS = tuple(_REGISTRY)
+
 
 def ground_truth(kind: str) -> GroundTruth:
     try:
@@ -164,8 +157,7 @@ class GridInterpolator(Interpolator):
         hit = self._lookup.get(tuple(_lattice_index(target, self.h)))
         if hit is not None:
             return hit
-        p = self.p if np.isfinite(self.p) else np.inf
-        return int(self._tree.query(target, p=p)[1])
+        return int(self._tree.query(target, p=self.p)[1])
 
     def _at(self, i: int, j: int, t: float) -> int:
         return self._snap((1.0 - t) * self.coords[i] + t * self.coords[j])
@@ -296,48 +288,34 @@ def _lattice(dim: int, h: float, extent: float, shape: str) -> np.ndarray:
     return coords
 
 
-def _pairwise_norm(coords: np.ndarray, p: float) -> np.ndarray:
-    diff = np.abs(coords[:, None, :] - coords[None, :, :])
-    if np.isinf(p):
-        return diff.max(axis=2)
-    if p == 2.0:
-        return np.sqrt((diff**2).sum(axis=2))
-    return (diff**p).sum(axis=2) ** (1.0 / p)
-
-
-def _base_at_origin(coords: np.ndarray) -> int:
-    return int(np.argmin(np.linalg.norm(coords, axis=1)))
-
-
 def _int_tuples(arr: np.ndarray) -> tuple:
     return tuple(tuple(int(v) for v in row) for row in np.asarray(arr))
+
+
+def _lattice_space(coords: np.ndarray, h: float, p: float, weights: np.ndarray,
+                   points: tuple | None = None) -> PointedSpace:
+    """An h-lattice sample of the lp norm (p = inf is the max norm) with its
+    snapping oracle, based at the point nearest the origin. Point ids default
+    to the integer lattice indices."""
+    if points is None:
+        points = _int_tuples(np.round(coords / h))
+    space = FiniteSpace(
+        points=points, metric=cdist(coords, coords, "minkowski", p=p),
+        weights=weights, coords=coords,
+        interpolator=GridInterpolator(coords, h, p=p), resolution=h,
+    )
+    return PointedSpace(space, int(np.argmin(np.linalg.norm(coords, axis=1))))
 
 
 def make(spec: ModelSpec) -> PointedSpace:
     """Build the model space; the interpolation oracle rides on the FiniteSpace."""
     if spec.kind == "euclidean-grid":
         coords = _lattice(spec.dim, spec.h, spec.extent, spec.shape)
-        metric = _pairwise_norm(coords, 2.0)
-        weights = np.full(len(coords), spec.h**spec.dim)
-        interp = GridInterpolator(coords, spec.h, p=2.0)
-        space = FiniteSpace(
-            points=_int_tuples(np.round(coords / spec.h)),
-            metric=metric, weights=weights, coords=coords,
-            interpolator=interp, resolution=spec.h,
-        )
-        return PointedSpace(space, _base_at_origin(coords))
+        return _lattice_space(coords, spec.h, 2.0, np.full(len(coords), spec.h**spec.dim))
 
     if spec.kind == "lp-plane":
         coords = _lattice(2, spec.h, spec.extent, "cube")
-        metric = _pairwise_norm(coords, spec.p)
-        weights = np.full(len(coords), spec.h**2)
-        interp = GridInterpolator(coords, spec.h, p=spec.p)
-        space = FiniteSpace(
-            points=_int_tuples(np.round(coords / spec.h)),
-            metric=metric, weights=weights, coords=coords,
-            interpolator=interp, resolution=spec.h,
-        )
-        return PointedSpace(space, _base_at_origin(coords))
+        return _lattice_space(coords, spec.h, spec.p, np.full(len(coords), spec.h**2))
 
     if spec.kind == "cylinder":
         n_s = max(3, int(round(spec.circumference / spec.h)))
@@ -423,15 +401,8 @@ def make(spec: ModelSpec) -> PointedSpace:
         }
         if spec.profile not in profiles:
             raise ValueError(f"unknown weight profile {spec.profile!r}")
-        weights = spec.h * profiles[spec.profile]
-        metric = np.abs(x[:, None] - x[None, :])
-        interp = GridInterpolator(coords, spec.h, p=2.0)
-        space = FiniteSpace(
-            points=tuple(int(round(v / spec.h)) for v in x),
-            metric=metric, weights=weights, coords=coords,
-            interpolator=interp, resolution=spec.h,
-        )
-        return PointedSpace(space, _base_at_origin(coords))
+        return _lattice_space(coords, spec.h, 2.0, spec.h * profiles[spec.profile],
+                              points=tuple(int(round(v / spec.h)) for v in x))
 
     if spec.kind == "graph":
         from scipy.sparse import coo_matrix
@@ -441,8 +412,8 @@ def make(spec: ModelSpec) -> PointedSpace:
         n = spec.n_points
         pts = rng.random((n, 2))
         rad = spec.connect_radius
+        diff = cdist(pts, pts)
         for _ in range(20):
-            diff = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
             adj = (diff <= rad) & (diff > 0)
             ii, jj = np.nonzero(adj)
             g = coo_matrix((diff[ii, jj], (ii, jj)), shape=(n, n))

@@ -161,6 +161,11 @@ def measure_gap(A: PointedSpace, B: PointedSpace, corr: Correspondence, R: float
     return _gap_lp(ball_a.D, ball_b.D, ball_a.w, ball_b.w, loc)
 
 
+def _unique_pairs(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The distinct (x, y) pairs of a relation, sorted."""
+    return np.unique(np.stack([xs, ys], axis=1), axis=0)
+
+
 def _aggregate(ball: _Ball, k: int) -> tuple[_Ball, np.ndarray, float]:
     """Farthest-point anchors: the anchor ball, each point's anchor (its local
     index there) and the movement slack."""
@@ -192,7 +197,7 @@ def _gap_upper(ball_a: _Ball, ball_b: _Ball, loc: np.ndarray) -> tuple[float, bo
         return _gap_lp(ball_a.D, ball_b.D, ball_a.w, ball_b.w, loc), False
     agg_a, assign_a, move_a = _aggregate(ball_a, EXACT_CAP)
     agg_b, assign_b, move_b = _aggregate(ball_b, EXACT_CAP)
-    loc_agg = np.unique(np.stack([assign_a[loc[:, 0]], assign_b[loc[:, 1]]], axis=1), axis=0)
+    loc_agg = _unique_pairs(assign_a[loc[:, 0]], assign_b[loc[:, 1]])
     gap = _gap_lp(agg_a.D, agg_b.D, agg_a.w, agg_b.w, loc_agg)
     return gap + move_a + move_b, True
 
@@ -280,9 +285,6 @@ class _CorrState:
         push[ends[k]] -= wk
         push[new] += wk
         ends[k] = new
-
-    def pairs_local(self) -> np.ndarray:
-        return np.unique(np.stack([self.xs, self.ys], axis=1), axis=0)
 
     def snapshot(self) -> tuple[np.ndarray, np.ndarray]:
         return self.ys[: self.na].copy(), self.xs[self.na:].copy()
@@ -378,9 +380,8 @@ def _anneal_radius(ball_a: _Ball, ball_b: _Ball, seed: int,
     base_a, base_b = ball_a.base, ball_b.base
     na, nb = len(wa), len(wb)
     if na == 1 or nb == 1:
-        xs = np.concatenate([np.arange(na), np.full(nb, base_a)])
-        ys = np.concatenate([np.full(na, base_b), np.arange(nb)])
-        return np.unique(np.stack([xs, ys], axis=1), axis=0)
+        return _unique_pairs(np.concatenate([np.arange(na), np.full(nb, base_a)]),
+                             np.concatenate([np.full(na, base_b), np.arange(nb)]))
 
     def state(fa, gb):
         return _CorrState(DA, DB, wa, wb, fa, gb, base_a, base_b)
@@ -392,10 +393,10 @@ def _anneal_radius(ball_a: _Ball, ball_b: _Ball, seed: int,
         best = min((best, icp), key=_CorrState.objective)
     start = best.snapshot()
 
-    def restart(r: int) -> tuple[float, np.ndarray]:
+    def restart(r: int) -> tuple[float, np.ndarray, np.ndarray]:
         st = state(*start)
         cur = st.objective()
-        best_val, best_pairs = cur, st.pairs_local()
+        best_val, best_xs, best_ys = cur, st.xs.copy(), st.ys.copy()
         temp = max(cur, 1e-6) * (0.3 if r == 0 else 1.0)
         rng = np.random.default_rng(seed + 101 * r)
         side_a = rng.random(proposals) < na / (na + nb)
@@ -415,10 +416,11 @@ def _anneal_radius(ball_a: _Ball, ball_b: _Ball, seed: int,
                 st.apply(k, new)
                 cur += d
                 if cur < best_val - 1e-15:
-                    best_val, best_pairs = cur, st.pairs_local()
-        return best_val, best_pairs
+                    best_val, best_xs, best_ys = cur, st.xs.copy(), st.ys.copy()
+        return best_val, best_xs, best_ys
 
-    return min((restart(r) for r in range(restarts)), key=lambda t: t[0])[1]
+    _, xs, ys = min((restart(r) for r in range(restarts)), key=lambda t: t[0])
+    return _unique_pairs(xs, ys)
 
 
 def _free_flow(wa: np.ndarray, wb: np.ndarray, loc: np.ndarray) -> float:

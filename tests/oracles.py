@@ -2,6 +2,7 @@
 
 Everything here is deliberately written against different algorithms (and
 mostly different libraries) than the package code paths it checks:
+lattice metrics come from numpy broadcasting instead of scipy's cdist,
 transport plans come from spanning-tree vertex enumeration instead of the
 LP, distortion coefficients from 50-digit mpmath arithmetic, integrals
 from adaptive quadrature, graph metrics from networkx Dijkstra.
@@ -14,6 +15,20 @@ import mpmath
 import networkx as nx
 import numpy as np
 from scipy import integrate
+
+
+# ---------------------------------------------------------------------------
+# Model metrics: lp distances by broadcasting
+# ---------------------------------------------------------------------------
+
+def pairwise_norm(coords: np.ndarray, p: float) -> np.ndarray:
+    """All-pairs lp distances from an (n, n, d) difference array."""
+    diff = np.abs(coords[:, None, :] - coords[None, :, :])
+    if np.isinf(p):
+        return diff.max(axis=2)
+    if p == 2.0:
+        return np.sqrt((diff**2).sum(axis=2))
+    return (diff**p).sum(axis=2) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------

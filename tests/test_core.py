@@ -88,6 +88,14 @@ class TestRescale:
             err = np.abs(back.space.metric - ps.space.metric)
             assert err.max() <= 1e-12 * max(1.0, ps.space.metric.max())
 
+    def test_scaled_keeps_weights_and_interpolator(self):
+        sp = models.make(models.ModelSpec("euclidean-grid", dim=2, h=0.1, extent=0.5)).space
+        big = sp.scaled(2.5)
+        assert big.weights is sp.weights
+        assert big.interpolator is sp.interpolator
+        assert np.array_equal(big.metric, 2.5 * sp.metric)
+        assert big.resolution == 2.5 * sp.resolution
+
 
 class TestNormalizeAt:
     def test_1d_constant_approaches_one(self):
@@ -110,6 +118,13 @@ class TestNormalizeAt:
         once, _ = core.normalize_at(ps, 0.35)
         again, c2 = core.normalize_at(once, 0.35)
         assert c2 == pytest.approx(1.0, abs=1e-12)
+
+    def test_shares_metric(self):
+        ps = models.make(models.ModelSpec("euclidean-grid", dim=2, h=0.1, extent=0.5))
+        nps, c = core.normalize_at(ps, 0.3)
+        assert nps.space.metric is ps.space.metric
+        assert nps.space.interpolator is ps.space.interpolator
+        assert np.array_equal(nps.space.weights, c * ps.space.weights)
 
     def test_identity_after_rescale(self):
         ps = PointedSpace(segment(101, 0.01), 50)
@@ -230,6 +245,15 @@ class TestSpaceJson:
         assert isinstance(back, PointedSpace)
         assert back.base == 2
         assert np.allclose(back.space.metric, ps.space.metric)
+
+    def test_path_with_braces(self, tmp_path):
+        ps = PointedSpace(segment(5, 0.2), 2)
+        path = tmp_path / "run{1}.json"
+        path.write_text(json.dumps(core.space_to_dict(ps)))
+        for src in (path, str(path)):
+            back = core.load_space(src)
+            assert back.base == 2
+            assert np.array_equal(back.space.metric, ps.space.metric)
 
     def test_euclidean_kind(self):
         obj = {"points": [0, 1, 2],

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module imports is used in that module."""
+"""Source hygiene: every name a module imports is used in that module, and
+every module-level private name is referenced somewhere in the package."""
 import ast
 from pathlib import Path
 
@@ -43,3 +44,45 @@ def test_no_unused_imports(path):
     unused = sorted(f"{name} (line {line})" for name, line in _imported(tree).items()
                     if name not in used)
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def _private_defs(tree: ast.Module) -> dict[str, int]:
+    """Module-level private function, class and constant names -> line."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [n.id for t in nodes for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                out[name] = node.lineno
+    return out
+
+
+def _referenced(tree: ast.Module) -> set[str]:
+    """Names read, attributes looked up and names imported from a module."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out |= {a.name for a in node.names}
+    return out
+
+
+PACKAGE_REFS = set().union(*(_referenced(ast.parse(p.read_text()))
+                             for p in SRC.glob("*.py")))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_orphaned_private_names(path):
+    defs = _private_defs(ast.parse(path.read_text()))
+    orphans = sorted(f"{name} (line {line})" for name, line in defs.items()
+                     if name not in PACKAGE_REFS)
+    assert not orphans, f"{path.name} defines private names nothing uses: {orphans}"

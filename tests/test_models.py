@@ -5,6 +5,8 @@ import pytest
 from mmslab import core, models
 from mmslab.models import ModelSpec, ground_truth, make, parse_spec
 
+from oracles import pairwise_norm
+
 
 ALL_SPECS = [
     ModelSpec("euclidean-grid", dim=1, h=0.1, extent=1.0),
@@ -43,19 +45,34 @@ def test_interpolator_endpoints(spec):
         assert 0 <= k < n
 
 
-def test_grid_point_count_1d():
-    ps = make(ModelSpec("euclidean-grid", dim=1, h=0.01, extent=0.5))
-    assert ps.n == 101
-    D = ps.space.metric
-    x = ps.space.coords[:, 0]
-    assert np.allclose(D, np.abs(x[:, None] - x[None, :]))
+# (spec, point count, exponent of the broadcast formula); the weighted
+# segment's metric is |x - y|, which the p = 1 formula computes exactly
+LATTICE_SPECS = {
+    "grid-1d": (ModelSpec("euclidean-grid", dim=1, h=0.01, extent=0.5), 101, 2.0),
+    "grid-2d": (ModelSpec("euclidean-grid", dim=2, h=0.1, extent=1.0), 441, 2.0),
+    "grid-3d": (ModelSpec("euclidean-grid", dim=3, h=0.25, extent=1.0), 729, 2.0),
+    "grid-2d-ball": (ModelSpec("euclidean-grid", dim=2, h=0.2, extent=1.0, shape="ball"),
+                     81, 2.0),
+    "grid-3d-ball": (ModelSpec("euclidean-grid", dim=3, h=0.25, extent=1.0, shape="ball"),
+                     257, 2.0),
+    "lp-plane-1": (ModelSpec("lp-plane", p=1.0, h=0.25, extent=1.0), 81, 1.0),
+    "lp-plane-inf": (ModelSpec("lp-plane", p=np.inf, h=0.5, extent=1.0), 25, np.inf),
+    "lp-plane-3": (ModelSpec("lp-plane", p=3.0, h=0.25, extent=1.0), 81, 3.0),
+    "weighted-segment": (ModelSpec("weighted-segment", h=0.05, extent=1.0, profile="linear"),
+                         41, 1.0),
+}
 
 
-def test_linf_plane_metric():
-    ps = make(ModelSpec("lp-plane", p=np.inf, h=0.5, extent=1.0))
-    c = ps.space.coords
-    expect = np.abs(c[:, None, :] - c[None, :, :]).max(axis=2)
-    assert np.allclose(ps.space.metric, expect)
+@pytest.mark.parametrize("name", LATTICE_SPECS)
+def test_lattice_metric_matches_broadcast_formula(name):
+    spec, n, p = LATTICE_SPECS[name]
+    sp = make(spec).space
+    assert sp.n == n
+    expect = pairwise_norm(sp.coords, p)
+    if p in (1.0, 2.0, np.inf):
+        assert np.array_equal(sp.metric, expect)
+    else:  # the two lp formulas round differently, by at most an ulp
+        assert np.allclose(sp.metric, expect, rtol=1e-15, atol=0.0)
 
 
 def test_lp_plane_interpolation_stays_on_segment():
