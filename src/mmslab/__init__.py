@@ -59,7 +59,6 @@ from .transport import (
     W2Result,
     geodesic_plan,
     interpolate,
-    monotone_1d,
     w2,
 )
 

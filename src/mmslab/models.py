@@ -325,10 +325,13 @@ def make(spec: ModelSpec) -> PointedSpace:
         ss = np.arange(n_s) * hs
         Z, S = np.meshgrid(zs, ss, indexing="ij")
         coords = np.stack([Z.ravel(), S.ravel()], axis=1)
-        dz = np.abs(coords[:, 0][:, None] - coords[:, 0][None, :])
-        raw = np.abs(coords[:, 1][:, None] - coords[:, 1][None, :])
+        # axial and arc separations per pair of rows/rings, broadcast to the
+        # (z, s) x (z, s) point pairs
+        dz = np.abs(zs[:, None] - zs[None, :])
+        raw = np.abs(ss[:, None] - ss[None, :])
         darc = np.minimum(raw, spec.circumference - raw)
-        metric = np.hypot(dz, darc)
+        n = len(coords)
+        metric = np.hypot(dz[:, None, :, None], darc[None, :, None, :]).reshape(n, n)
         weights = np.full(len(coords), spec.h * hs)
         interp = CylinderInterpolator(coords, spec.h, spec.circumference)
         space = FiniteSpace(

@@ -426,56 +426,15 @@ def _anneal_radius(ball_a: _Ball, ball_b: _Ball, seed: int,
 def _free_flow(wa: np.ndarray, wb: np.ndarray, loc: np.ndarray) -> float:
     """Maximum mass transportable along the relation arcs alone.
 
-    Exact max-flow (BFS augmenting paths) on source -> A -> B -> sink with
-    node capacities wa, wb and uncapacitated relation arcs; sizes are tiny.
+    Max-flow on source -> A -> B -> sink with node capacities wa, wb and
+    uncapacitated relation arcs equals its min cut: the least over subsets
+    S of A of wa(A \\ S) + wb(N(S)), N(S) the relation neighbours of S.
+    Balls hold at most 9 points, so the subsets are enumerated as bitmasks.
     """
-    na, nb = len(wa), len(wb)
-    n = na + nb + 2
-    s, t = na + nb, na + nb + 1
-    cap = {}
-
-    def add(u, v, c):
-        cap[(u, v)] = cap.get((u, v), 0.0) + c
-        cap.setdefault((v, u), 0.0)
-
-    for i in range(na):
-        add(s, i, float(wa[i]))
-    for j in range(nb):
-        add(na + j, t, float(wb[j]))
-    big = float(wa.sum() + wb.sum() + 1.0)
-    for i, j in loc:
-        add(int(i), na + int(j), big)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for (u, v) in cap:
-        if v not in adj[u]:
-            adj[u].append(v)
-    flow = 0.0
-    while True:
-        parent = [-1] * n
-        parent[s] = s
-        queue = [s]
-        while queue and parent[t] == -1:
-            u = queue.pop(0)
-            for v in adj[u]:
-                if parent[v] == -1 and cap.get((u, v), 0.0) > 1e-15:
-                    parent[v] = u
-                    queue.append(v)
-        if parent[t] == -1:
-            break
-        push = math.inf
-        v = t
-        while v != s:
-            u = parent[v]
-            push = min(push, cap[(u, v)])
-            v = u
-        v = t
-        while v != s:
-            u = parent[v]
-            cap[(u, v)] -= push
-            cap[(v, u)] += push
-            v = u
-        flow += push
-    return flow
+    S = (np.arange(1 << len(wa))[:, None] >> np.arange(len(wa))) & 1
+    adj = np.zeros((len(wa), len(wb)))
+    adj[loc[:, 0], loc[:, 1]] = 1.0
+    return float(((1 - S) @ wa + ((S @ adj) > 0) @ wb).min())
 
 
 def _exhaustive_radius(ball_a: _Ball, ball_b: _Ball, budget: int,

@@ -72,7 +72,6 @@ def blowup(
     ps: PointedSpace,
     radii: Sequence[float],
     window: float = 8.0,
-    resolution: float | None = None,
     min_cells: float = 4.0,
 ) -> BlowupSequence:
     """Rescale, renormalize and window the space at its basepoint per radius.
@@ -87,7 +86,7 @@ def blowup(
         raise ValueError("radii must be positive")
     if any(b >= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly decreasing")
-    h = resolution if resolution is not None else ps.space.declared_resolution()
+    h = ps.space.declared_resolution()
     reach = float(ps.base_distances().max())
     members = []
     for r in radii:
@@ -252,116 +251,109 @@ class LineCandidate:
         return float(np.median(np.diff(self.params)))
 
 
-def _grow_arm(
-    D: np.ndarray,
-    base: int,
-    fixed_chain: np.ndarray,
-    fixed_params: np.ndarray,
-    target_len: float,
-    step: float,
-    eps: float,
-    beam: int,
-    sign: float,
-) -> list[tuple[list[int], list[float]]]:
-    """Beam-grow one arm from the base against an already fixed partial chain.
-
-    States carry (arm point list, arm params, worst defect); defects are
-    measured against the fixed chain plus the arm so far, so additivity
-    across the basepoint is enforced when the other arm is the fixed part.
-    """
-    states: list[tuple[list[int], list[float], float]] = [([], [], 0.0)]
-    slack = max(eps, 0.75 * step)
-    done: list[tuple[list[int], list[float], float]] = []
-    while states:
-        new_states = []
-        for arm, arm_pr, worst in states:
-            arm_end = arm[-1] if arm else base
-            s_end = arm_pr[-1] if arm_pr else 0.0
-            if abs(s_end) >= target_len:
-                done.append((arm, arm_pr, worst))
-                continue
-            s_next = s_end + sign * step
-            cand = np.flatnonzero(
-                (np.abs(D[arm_end] - step) <= 0.75 * step)
-                & (np.abs(D[base] - abs(s_next)) <= slack)
-            )
-            cand = cand[cand != arm_end]
-            if cand.size == 0:
-                done.append((arm, arm_pr, worst))
-                continue
-            if cand.size > 24:
-                order = np.argsort(np.abs(D[base, cand] - abs(s_next)), kind="stable")
-                cand = cand[order[:24]]
-            ch_arr = np.concatenate([fixed_chain, np.asarray(arm, dtype=int)]).astype(int)
-            pr_arr = np.concatenate([fixed_params, np.asarray(arm_pr, dtype=float)])
-            grew = False
-            for q in cand:
-                s_q = s_end + sign * D[arm_end, q]
-                defect = float(np.abs(D[q, ch_arr] - np.abs(s_q - pr_arr)).max())
-                if defect <= eps:
-                    new_states.append((arm + [int(q)], arm_pr + [float(s_q)],
-                                       max(worst, defect)))
-                    grew = True
-            if not grew:
-                done.append((arm, arm_pr, worst))
-        new_states.sort(key=lambda t: (t[2], abs(abs(t[1][-1]) - (len(t[0])) * step)))
-        states = new_states[:beam]
-    done.sort(key=lambda t: (-abs(t[1][-1]) if t[1] else 0.0, t[2]))
-    return [(a, p) for a, p, _ in done[:beam]] or [([], [])]
+_EXACT = 1e-9   # an excess at or below this counts as on the geodesic
 
 
-def detect_line(
-    ps: PointedSpace,
-    L: float,
-    eps: float,
-    step: float | None = None,
-    beam: int = 4,
-) -> LineCandidate | None:
-    """Search for an eps-additive chain of length L on each side of the base.
+def _line_ends(D: np.ndarray, base: int, L: float, step: float, eps: float):
+    """End pair (p, q) of :func:`detect_line` and every point's excess for it."""
+    shell = np.flatnonzero(np.abs(D[base] - L) <= step)
+    if shell.size < 2:
+        return None
+    Ds = D[np.ix_(shell, shell)]
+    at_base = D[base, shell][:, None] + D[base, shell] - Ds
+    tie = at_base <= at_base.min() + _EXACT
+    far = np.argmax(np.where(tie, Ds, -1.0), axis=1)
+    pairs = np.stack([shell, shell[far]], axis=1)[tie.any(axis=1)]
+    P, Q = np.unique(np.sort(pairs, axis=1), axis=0).T
+    span = D[P, Q]
+    # a pair covers at most `top` bins: score the pairs that can reach the
+    # longest spans' coverage, then, if none does, those that can reach the best
+    top = np.floor((span + _EXACT) / step) + 1
+    need = top.max()
+    while True:
+        sel = top >= need
+        excess = D[P[sel]] + D[Q[sel]] - span[sel, None]
+        rows, cols = np.nonzero(excess <= _EXACT)
+        occupied = np.zeros((sel.sum(), int(top.max()) + 1), dtype=bool)
+        occupied[rows, (D[P[sel][rows], cols] / step).astype(int)] = True
+        bins = occupied.sum(axis=1)
+        if bins.max() >= need:
+            break
+        need = bins.max()
+    n_tube = (excess <= 0.5 * eps).sum(axis=1)
+    k = np.lexsort((Q[sel], P[sel], n_tube, -span[sel], -bins))[0]
+    return int(P[sel][k]), int(Q[sel][k]), excess[k]
 
-    Greedy beam extension over candidate points filtered by distance rings,
-    right arm first, then the left arm against the full right chain;
-    returns the longest candidate whose pairwise additive defect stays at
-    or below eps, else None.
+
+def _walk(D: np.ndarray, base: int, end: int, tube: np.ndarray, excess: np.ndarray,
+          step: float, L: float) -> tuple[list[int], list[float]]:
+    """One arm of :func:`detect_line`: its points and running parameters."""
+    chain: list[int] = []
+    params: list[float] = []
+    prev, s = base, 0.0
+    while s < L:
+        cand = tube[(np.abs(D[prev, tube] - step) <= 0.75 * step)
+                    & (D[end, tube] < D[end, prev])]
+        if cand.size == 0:
+            break
+        s_cand = s + D[prev, cand]
+        k = np.lexsort((cand, np.abs(s_cand - (len(chain) + 1) * step),
+                        excess[cand] > _EXACT))[0]
+        prev, s = int(cand[k]), float(s_cand[k])
+        chain.append(prev)
+        params.append(s)
+    return chain, params
+
+
+def detect_line(ps: PointedSpace, L: float, eps: float) -> LineCandidate | None:
+    """Find an eps-additive chain reaching L on each side of the base.
+
+    Abresch-Gromoll excess construction, with step = max(1.2 h, L/48) and
+    "exact" meaning an excess of at most 1e-9:
+
+    - the ends p, q lie on the shell |d(base, .) - L| <= step and have the
+      least excess d(p, base) + d(base, q) - d(p, q) at the base (to within
+      1e-9); each p keeps its farthest such partner, and among the pairs
+      the most step bins of d(p, .) holding an exact point win, then the
+      longest span, then the fewest points of excess <= eps/2, then the
+      lowest indices;
+    - each arm walks the points of excess d(p, x) + d(x, q) - d(p, q)
+      <= eps/2 from the base towards its end, one step at a time, to a
+      point 0.25 to 1.75 steps from the previous one and nearer the end:
+      exact points first (the arm keeps to a sampled geodesic where there
+      is one), then the least |s + d(prev, x) - k step| (s the running
+      parameter, k the step number), then the lowest index; an arm stops
+      once s reaches L;
+    - ``params`` are the running sums of chain distances from the base,
+      positive on the arm whose first point has the lower index.
+
+    The chain is returned only if both arms reach L - step and its additive
+    defect over all chain pairs (``eps_line``) is at most eps; else None.
     """
     if L <= 0:
         raise ValueError("L must be positive")
-    space = ps.space
-    D = space.metric
+    D = ps.space.metric
     base = ps.base
-    if D[base].max() < L - eps:
+    step = max(1.2 * ps.space.declared_resolution(), L / 48.0)
+    ends = _line_ends(D, base, L, step, eps)
+    if ends is None:
         return None
-    h = space.declared_resolution()
-    if step is None:
-        step = max(1.2 * h, L / 48.0)
-
-    best: LineCandidate | None = None
-    base_chain = np.array([base], dtype=int)
-    base_param = np.array([0.0])
-    for r_arm, r_pr in _grow_arm(D, base, base_chain, base_param, L, step, eps, beam, +1.0):
-        if not r_arm:
-            continue
-        fixed_chain = np.concatenate([base_chain, np.asarray(r_arm, dtype=int)])
-        fixed_params = np.concatenate([base_param, np.asarray(r_pr)])
-        for l_arm, l_pr in _grow_arm(D, base, fixed_chain, fixed_params, L, step, eps, beam, -1.0):
-            chain = np.concatenate([fixed_chain, np.asarray(l_arm, dtype=int)]).astype(int)
-            params = np.concatenate([fixed_params, np.asarray(l_pr)])
-            order = np.argsort(params, kind="stable")
-            ch, pr = chain[order], params[order]
-            if pr.max() < L - step or -pr.min() < L - step:
-                continue
-            gap = np.abs(D[np.ix_(ch, ch)] - np.abs(pr[:, None] - pr[None, :]))
-            eps_line = float(gap.max())
-            if eps_line > eps:
-                continue
-            cand = LineCandidate(
-                chain=ch, params=pr,
-                center_pos=int(np.argwhere(ch == base)[0][0]),
-                eps_line=eps_line, length=float(pr.max() - pr.min()),
-            )
-            if best is None or (cand.length, -cand.eps_line) > (best.length, -best.eps_line):
-                best = cand
-    return best
+    p, q, excess = ends
+    tube = np.flatnonzero(excess <= 0.5 * eps)
+    arms = [_walk(D, base, end, tube, excess, step, L) for end in (p, q)]
+    if not (arms[0][0] and arms[1][0]):
+        return None
+    (pos, pos_pr), (neg, neg_pr) = sorted(arms, key=lambda arm: arm[0][0])
+    chain = np.array(neg[::-1] + [base] + pos, dtype=int)
+    params = np.array([-s for s in neg_pr[::-1]] + [0.0] + pos_pr)
+    if params[-1] < L - step or -params[0] < L - step:
+        return None
+    eps_line = float(np.abs(D[np.ix_(chain, chain)]
+                            - np.abs(params[:, None] - params[None, :])).max())
+    if eps_line > eps:
+        return None
+    return LineCandidate(chain=chain, params=params, center_pos=len(neg),
+                         eps_line=eps_line, length=float(params[-1] - params[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -404,24 +396,22 @@ def _foot_parameters(D2_chain: np.ndarray, params: np.ndarray) -> np.ndarray:
     return out
 
 
-def split(
-    ps: PointedSpace,
-    line: LineCandidate,
-    window: float | None = None,
-    slice_width: float | None = None,
-    merge_tol: float | None = None,
-    fiber_sample: int = 48,
-    pair_budget: int = 4_000_000,
-    seed: int = 0,
-) -> SplitResult:
+_FIBER_SAMPLE = 48     # points per fiber in the quotient-metric average
+_ROW_BLOCK = 32        # rows per block of the exact metric defect (cache-sized)
+
+
+def split(ps: PointedSpace, line: LineCandidate, window: float | None = None) -> SplitResult:
     """Factor an approximate line off the space around the basepoint.
 
     Computes a Busemann-type coordinate b from the chain (foot-point
-    parameter, exact on products), slices the central level set into
-    representatives, averages the quotient metric
-    d'(p,q)^2 = max(0, d^2 - (b-b)^2) over fiber pairs, and pushes the
-    measure forward with per-fiber extent normalization. Both defects are
-    reported; the split refuses windows the chain does not dominate.
+    parameter, exact on products), slices the central level set
+    |b| <= 1.5 max(h, step/2) into representatives (points whose quotient
+    distance is within h/2 merge), averages the quotient metric
+    d'(p,q)^2 = max(0, d^2 - (b-b)^2) over up to 48 evenly strided points
+    of each fiber pair, and pushes the measure forward with per-fiber
+    extent normalization. ``delta_metric`` is the exact maximum over all
+    pairs of windowed points of |d^2 - (b-b)^2 - d'^2|^(1/2); both defects
+    are reported, and the split refuses windows the chain does not dominate.
     """
     space = ps.space
     D = space.metric
@@ -448,14 +438,14 @@ def split(
     b = _foot_parameters(D[np.ix_(idx, chain)] ** 2, params)
     b = b - b[base_pos]
 
-    half = 1.5 * (slice_width if slice_width is not None else max(h, step / 2.0))
+    half = 1.5 * max(h, step / 2.0)
     slice_mask = np.abs(b) <= half
     slice_pos = np.flatnonzero(slice_mask)
     if slice_pos.size == 0:
         raise LineTooShortError("empty central slice; resolution too coarse")
 
     # cluster the slice by the quotient pseudo-metric into representatives
-    tol = merge_tol if merge_tol is not None else 0.5 * h
+    tol = 0.5 * h
     order = slice_pos[np.lexsort((slice_pos, -ww[slice_pos]))]
     reps: list[int] = []
     members: list[list[int]] = []
@@ -487,13 +477,11 @@ def split(
 
     M = len(reps_arr)
     dprime2 = np.zeros((M, M))
-    rng = np.random.default_rng(seed)
     fibers = [np.flatnonzero(assign == k) for k in range(M)]
     samples = []
     for f in fibers:
-        if len(f) > fiber_sample:
-            stride = max(1, len(f) // fiber_sample)
-            f = f[::stride][:fiber_sample]
+        if len(f) > _FIBER_SAMPLE:
+            f = f[::len(f) // _FIBER_SAMPLE][:_FIBER_SAMPLE]
         samples.append(f)
     for a in range(M):
         fa = samples[a]
@@ -523,20 +511,14 @@ def split(
                                  resolution=space.resolution)
     quotient = PointedSpace(quotient_space, int(assign[base_pos]))
 
-    # metric defect over (sampled) pairs
-    n = len(idx)
-    if n * n <= pair_budget:
-        ii = np.repeat(np.arange(n), n)
-        jj = np.tile(np.arange(n), n)
-    else:
-        ii = rng.integers(0, n, size=pair_budget)
-        jj = rng.integers(0, n, size=pair_budget)
-    resid = np.abs(Dw[ii, jj] ** 2 - (b[ii] - b[jj]) ** 2
-                   - dprime[assign[ii], assign[jj]] ** 2)
-    delta_metric = float(np.sqrt(resid.max()))
+    # metric defect: exact maximum over all pairs, one block of rows at a time
+    q2 = (dprime ** 2)[assign]
+    resid = max(float(np.abs(Dw[r] ** 2 - (b[r, None] - b) ** 2 - q2[r][:, assign]).max())
+                for r in (slice(lo, lo + _ROW_BLOCK) for lo in range(0, len(idx), _ROW_BLOCK)))
+    delta_metric = float(np.sqrt(resid))
 
     delta_measure = _product_measure_defect(
-        b, ww, assign, dprime, wq, int(assign[base_pos]), window, h, step)
+        b, ww, assign, dprime, wq, int(assign[base_pos]), window)
 
     return SplitResult(
         b=b, window_idx=idx, quotient=quotient, assignment=assign,
@@ -545,7 +527,7 @@ def split(
     )
 
 
-def _product_measure_defect(b, ww, assign, dprime, wq, base_rep, window, h, step) -> float:
+def _product_measure_defect(b, ww, assign, dprime, wq, base_rep, window) -> float:
     """Relative LP discrepancy between the measure and the product m' x length.
 
     Histograms over (fiber group, b-bin) cells are compared on the central
@@ -595,18 +577,22 @@ def _product_measure_defect(b, ww, assign, dprime, wq, base_rep, window, h, step
 
 @dataclass(frozen=True)
 class DimensionConfig:
-    """Parameters of the blow-up / detect-line / split iteration."""
+    """Parameters of the blow-up / detect-line / split iteration.
+
+    Each stage blows the current space up at one radius (1 at the first
+    stage; later stages zoom the quotient back out to fill the window) with
+    at least 3 sample spacings per window radius, finds a line with
+    :func:`detect_line` (the excess construction, certified by its additive
+    defect ``eps_line`` and its length) and splits it off with
+    :func:`split`, whose ``delta_metric`` is exact over all pairs. A stage
+    is inconclusive when that defect exceeds max(8h, 0.05 window); the
+    iteration stops when a quotient has fewer than 4 points.
+    """
 
     N: float                              # dimension budget; at most floor(N) factors
-    radii: tuple = (1.0,)                 # stage-1 blow-up radii
-    later_radii: tuple | None = None      # None: zoom quotients to refill the window
     window: float = 4.0
     line_length: float | None = None      # default 0.9 * window
     line_eps: float | None = None         # default max(1.5h, 0.025 * window)
-    defect_tol: float | None = None       # default max(8h, 0.05 * window)
-    min_quotient_points: int = 4
-    min_cells: float = 3.0        # usability gate for stage members
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -642,15 +628,11 @@ def euclidean_dimension(ps: PointedSpace, config: DimensionConfig) -> tuple[int,
     n = 0
     reason = "dimension budget reached"
     for stage in range(budget):
-        if stage == 0:
-            radii = config.radii
-        elif config.later_radii is not None:
-            radii = config.later_radii
-        else:
+        radius = 1.0
+        if stage > 0:
             # zoom the (smaller) quotient back out to fill the window
-            reach = float(current.base_distances().max())
-            radii = (min(1.0, 0.95 * reach / config.window),)
-        seq = blowup(current, radii, window=config.window, min_cells=config.min_cells)
+            radius = min(1.0, 0.95 * float(current.base_distances().max()) / config.window)
+        seq = blowup(current, (radius,), window=config.window, min_cells=3.0)
         member = seq.finest_usable()
         if member is None:
             reason = "no usable blow-up member"
@@ -668,13 +650,13 @@ def euclidean_dimension(ps: PointedSpace, config: DimensionConfig) -> tuple[int,
                                        None, None, None, "no-line"))
             break
         try:
-            res = split(Y, line, seed=config.seed)
+            res = split(Y, line)
         except LineTooShortError as exc:
             reason = f"split refused: {exc}"
             records.append(StageRecord(stage, member.radius, Y.n, line.length,
                                        line.eps_line, None, None, None, "refused"))
             break
-        tol = config.defect_tol if config.defect_tol is not None else max(8.0 * h, 0.05 * config.window)
+        tol = max(8.0 * h, 0.05 * config.window)
         if res.delta_metric > tol:
             reason = f"split defect {res.delta_metric:.3g} above tolerance {tol:.3g}"
             records.append(StageRecord(stage, member.radius, Y.n, line.length,
@@ -686,7 +668,7 @@ def euclidean_dimension(ps: PointedSpace, config: DimensionConfig) -> tuple[int,
                                    line.eps_line, res.delta_metric,
                                    res.delta_measure, res.quotient.n, "factored"))
         current = res.quotient
-        if (current.n < config.min_quotient_points
+        if (current.n < 4
                 or current.space.diameter < 2.5 * current.space.declared_resolution()):
             reason = "quotient degenerate"
             break

@@ -30,7 +30,6 @@ __all__ = [
     "as_probability",
     "transport_lp",
     "w2",
-    "monotone_1d",
     "interpolate",
     "geodesic_plan",
 ]
@@ -224,48 +223,6 @@ def w2(
 
     plan = Coupling(rows=rows, cols=cols, gamma=gamma, n=space.n)
     return W2Result(cost, plan, solver, meta)
-
-
-def monotone_1d(space: FiniteSpace, mu0, mu1, coords: np.ndarray | None = None) -> W2Result:
-    """Monotone (quantile) coupling on a 1-D embedded space — the line oracle.
-
-    On the line the quadratic-cost optimal coupling is the monotone
-    rearrangement; this is an independent check for the LP route.
-    """
-    mu0 = as_probability(space, mu0)
-    mu1 = as_probability(space, mu1)
-    if coords is None:
-        coords = space.coords
-    if coords is None:
-        raise ValueError("monotone_1d needs 1-D coordinates")
-    coords = np.asarray(coords, dtype=float)
-    if coords.ndim == 2:
-        if coords.shape[1] != 1:
-            raise ValueError("monotone_1d needs 1-D coordinates")
-        coords = coords[:, 0]
-
-    rows = np.flatnonzero(mu0 > 0)
-    cols = np.flatnonzero(mu1 > 0)
-    rows = rows[np.argsort(coords[rows], kind="stable")]
-    cols = cols[np.argsort(coords[cols], kind="stable")]
-    a = mu0[rows].copy()
-    b = mu1[cols].copy()
-    gamma = np.zeros((len(rows), len(cols)))
-    i = j = 0
-    cost = 0.0
-    while i < len(rows) and j < len(cols):
-        m = min(a[i], b[j])
-        if m > 0:
-            gamma[i, j] += m
-            cost += m * (coords[rows[i]] - coords[cols[j]]) ** 2
-        a[i] -= m
-        b[j] -= m
-        if a[i] <= 1e-17:
-            i += 1
-        if j < len(cols) and b[j] <= 1e-17:
-            j += 1
-    plan = Coupling(rows=rows, cols=cols, gamma=gamma, n=space.n)
-    return W2Result(cost, plan, "monotone_1d", {})
 
 
 # ---------------------------------------------------------------------------

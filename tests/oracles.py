@@ -3,9 +3,12 @@
 Everything here is deliberately written against different algorithms (and
 mostly different libraries) than the package code paths it checks:
 lattice metrics come from numpy broadcasting instead of scipy's cdist,
-transport plans come from spanning-tree vertex enumeration instead of the
-LP, distortion coefficients from 50-digit mpmath arithmetic, integrals
-from adaptive quadrature, graph metrics from networkx Dijkstra.
+the cylinder metric from per-point coordinate differences, transport
+plans from spanning-tree vertex enumeration instead of the LP, the line's
+monotone coupling from a quantile sweep, distortion coefficients from
+50-digit mpmath arithmetic, integrals from adaptive quadrature, graph
+metrics from networkx Dijkstra, relation flows from networkx's
+preflow-push instead of a min-cut enumeration.
 """
 from __future__ import annotations
 
@@ -15,6 +18,9 @@ import mpmath
 import networkx as nx
 import numpy as np
 from scipy import integrate
+
+from mmslab.core import FiniteSpace
+from mmslab.transport import Coupling, W2Result, as_probability
 
 
 # ---------------------------------------------------------------------------
@@ -29,6 +35,14 @@ def pairwise_norm(coords: np.ndarray, p: float) -> np.ndarray:
     if p == 2.0:
         return np.sqrt((diff**2).sum(axis=2))
     return (diff**p).sum(axis=2) ** (1.0 / p)
+
+
+def cylinder_metric(coords: np.ndarray, circumference: float) -> np.ndarray:
+    """Flat-cylinder distances from (n, n) axial and arc differences of the
+    (z, s) point coordinates, the arc taken the short way round."""
+    dz = np.abs(coords[:, 0][:, None] - coords[:, 0][None, :])
+    raw = np.abs(coords[:, 1][:, None] - coords[:, 1][None, :])
+    return np.hypot(dz, np.minimum(raw, circumference - raw))
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +123,48 @@ def monotone_cost_1d(x0, a, x1, b) -> float:
     return float(cost)
 
 
+def monotone_1d(space: FiniteSpace, mu0, mu1, coords: np.ndarray | None = None) -> W2Result:
+    """Monotone (quantile) coupling on a 1-D embedded space — the line oracle.
+
+    On the line the quadratic-cost optimal coupling is the monotone
+    rearrangement; this is an independent check for the LP route.
+    """
+    mu0 = as_probability(space, mu0)
+    mu1 = as_probability(space, mu1)
+    if coords is None:
+        coords = space.coords
+    if coords is None:
+        raise ValueError("monotone_1d needs 1-D coordinates")
+    coords = np.asarray(coords, dtype=float)
+    if coords.ndim == 2:
+        if coords.shape[1] != 1:
+            raise ValueError("monotone_1d needs 1-D coordinates")
+        coords = coords[:, 0]
+
+    rows = np.flatnonzero(mu0 > 0)
+    cols = np.flatnonzero(mu1 > 0)
+    rows = rows[np.argsort(coords[rows], kind="stable")]
+    cols = cols[np.argsort(coords[cols], kind="stable")]
+    a = mu0[rows].copy()
+    b = mu1[cols].copy()
+    gamma = np.zeros((len(rows), len(cols)))
+    i = j = 0
+    cost = 0.0
+    while i < len(rows) and j < len(cols):
+        m = min(a[i], b[j])
+        if m > 0:
+            gamma[i, j] += m
+            cost += m * (coords[rows[i]] - coords[cols[j]]) ** 2
+        a[i] -= m
+        b[j] -= m
+        if a[i] <= 1e-17:
+            i += 1
+        if j < len(cols) and b[j] <= 1e-17:
+            j += 1
+    plan = Coupling(rows=rows, cols=cols, gamma=gamma, n=space.n)
+    return W2Result(cost, plan, "monotone_1d", {})
+
+
 # ---------------------------------------------------------------------------
 # Distortion coefficient at 50 digits
 # ---------------------------------------------------------------------------
@@ -155,6 +211,16 @@ def nx_shortest_path_matrix(edges: list[tuple[int, int, float]], n: int) -> np.n
         for j, d in dists.items():
             out[i, j] = d
     return out
+
+
+def nx_relation_flow(wa: np.ndarray, wb: np.ndarray, pairs: np.ndarray) -> float:
+    """Max flow source -> A -> B -> sink with node capacities wa, wb and
+    uncapacitated relation arcs, by networkx's preflow-push."""
+    G = nx.DiGraph()
+    G.add_edges_from(("s", ("a", i), {"capacity": float(w)}) for i, w in enumerate(wa))
+    G.add_edges_from((("b", j), "t", {"capacity": float(w)}) for j, w in enumerate(wb))
+    G.add_edges_from((("a", int(i)), ("b", int(j))) for i, j in pairs)
+    return float(nx.maximum_flow_value(G, "s", "t"))
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,26 @@ def test_dimension_command(tmp_path, capsys):
     assert_golden(tmp_path, "dimension")
 
 
+def test_dimension_cylinder_counts_one_factor(tmp_path, capsys):
+    # the axis is a line; the circle factor left after splitting it has none
+    assert run(["dimension", "cylinder:c=1,L=10,h=0.05", "--N", "2",
+                "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "metadata.json").read_text())["n"] == 1
+    assert strict_report(tmp_path)["stages"][0]["status"] == "factored"
+
+
+@pytest.mark.parametrize("p", ["1", "inf"])
+def test_dimension_lp_plane_is_inconclusive(tmp_path, capsys, p):
+    # l^p planes (p != 2) have lines but are not infinitesimally Hilbertian:
+    # the line is found and the split's metric defect stays above tolerance
+    assert run(["dimension", f"lp-plane:p={p},h=0.125,extent=4.5", "--N", "2",
+                "--out", str(tmp_path)]) == 0
+    stages = strict_report(tmp_path)["stages"]
+    assert [st["status"] for st in stages] == ["inconclusive"]
+    assert stages[0]["stage"] == 0 and stages[0]["line_length"] is not None
+    assert stages[0]["delta_metric"] > max(8 * 0.125, 0.05 * 4.0)
+
+
 def test_dimension_degenerate_report_is_strict_json(tmp_path, capsys):
     # a window too small for any blow-up member leaves a NaN member radius
     argv = ["dimension", "euclidean-grid:1d,h=0.1,extent=8", "--N", "1",
@@ -202,8 +222,9 @@ def test_every_option_is_read():
     for command, sp in subparsers.choices.items():
         text = _source_reading_args(sp.get_default("fn"))
         for a in sp._actions:
-            if a.dest in (argparse.SUPPRESS, "help") or (command, a.dest) == ("cdstar", "seed"):
-                continue  # the benchmark passes --seed to cdstar, which has no randomness
+            if a.dest in (argparse.SUPPRESS, "help") or (command, a.dest) in (
+                    ("cdstar", "seed"), ("dimension", "seed")):
+                continue  # the benchmark passes --seed to both, which have no randomness
             if not re.search(rf"\bargs\.{a.dest}\b", text):
                 unread.append((command, a.dest))
     assert not unread

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module imports is used in that module, and
-every module-level private name is referenced somewhere in the package."""
+"""Source hygiene: every name a module imports is used in that module, every
+module-level private name is referenced somewhere in the package, and every
+function reads each of its parameters."""
 import ast
 from pathlib import Path
 
@@ -86,3 +87,29 @@ def test_no_orphaned_private_names(path):
     orphans = sorted(f"{name} (line {line})" for name, line in defs.items()
                      if name not in PACKAGE_REFS)
     assert not orphans, f"{path.name} defines private names nothing uses: {orphans}"
+
+
+def _is_abstract(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
+    """Body is ``raise NotImplementedError`` (after an optional docstring)."""
+    body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+    return (len(body) == 1 and isinstance(body[0], ast.Raise)
+            and "NotImplementedError" in ast.unparse(body[0]))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    # a parameter a function never reads is a silent no-op for its callers
+    unused = []
+    for fn in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if not isinstance(fn, ast.Lambda) and _is_abstract(fn):
+            continue
+        a = fn.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+        body = fn.body if isinstance(fn.body, list) else [fn.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(fn, "name", "<lambda>")
+        unused += [f"{name}({p.arg}) (line {fn.lineno})" for p in params if p.arg not in read]
+    assert not unused, f"{path.name} has parameters their functions never read: {unused}"

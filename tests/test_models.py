@@ -5,7 +5,7 @@ import pytest
 from mmslab import core, models
 from mmslab.models import ModelSpec, ground_truth, make, parse_spec
 
-from oracles import pairwise_norm
+from oracles import cylinder_metric, pairwise_norm
 
 
 ALL_SPECS = [
@@ -73,6 +73,12 @@ def test_lattice_metric_matches_broadcast_formula(name):
         assert np.array_equal(sp.metric, expect)
     else:  # the two lp formulas round differently, by at most an ulp
         assert np.allclose(sp.metric, expect, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("c,L,h", [(1.0, 3.0, 0.1), (1.0, 5.0, 0.05), (1.3, 2.0, 0.07)])
+def test_cylinder_metric_matches_pointwise_formula(c, L, h):
+    sp = make(ModelSpec("cylinder", circumference=c, height=L, h=h)).space
+    assert np.array_equal(sp.metric, cylinder_metric(sp.coords, c))
 
 
 def test_lp_plane_interpolation_stays_on_segment():

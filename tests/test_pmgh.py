@@ -8,7 +8,8 @@ from mmslab import cli, core, models, pmgh, tangent_lab
 from mmslab.core import FiniteSpace, PointedSpace
 from mmslab.pmgh import Correspondence, _ball, _gap_lp
 
-from oracles import bruteforce_corr_infimum, permuted_copy, random_euclidean_space
+from oracles import (bruteforce_corr_infimum, nx_relation_flow, permuted_copy,
+                     random_euclidean_space)
 
 
 def two_point(gap, weights=(1.0, 1.0), base=0):
@@ -254,6 +255,19 @@ class TestAggregatedGap:
         (term,) = est.per_radius
         assert term.aggregated
         assert term.measure_gap > 0.0
+
+
+def test_free_flow_matches_max_flow_oracle():
+    # the exhaustive search's min-cut bound equals a max-flow solver's value
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        na = int(rng.integers(1, 9))
+        nb = int(rng.integers(1, 10 - na))
+        wa, wb = rng.random(na), rng.random(nb)
+        every = np.array([(i, j) for i in range(na) for j in range(nb)])
+        loc = every[rng.choice(len(every), int(rng.integers(1, len(every) + 1)), replace=False)]
+        assert pmgh._free_flow(wa, wb, loc) == pytest.approx(
+            nx_relation_flow(wa, wb, loc), abs=1e-12)
 
 
 class TestConvergenceDiagnostic:

