@@ -34,7 +34,7 @@ __all__ = [
     "space_to_dict",
 ]
 
-DEFAULT_TRIANGLE_TOL = 1e-9
+TRIANGLE_TOL = 1e-9
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -94,10 +94,8 @@ class FiniteSpace:
     def diameter(self) -> float:
         return float(self.metric.max()) if self.n else 0.0
 
-    def ball_mass(self, center: int, r: float, closed: bool = False) -> float:
-        d = self.metric[center]
-        inside = d <= r if closed else d < r
-        return float(self.weights[inside].sum())
+    def ball_mass(self, center: int, r: float) -> float:
+        return float(self.weights[self.metric[center] < r].sum())
 
     def min_positive_distance(self) -> float:
         d = self.metric[np.triu_indices(self.n, 1)]
@@ -180,33 +178,24 @@ class ValidationReport:
         return ", ".join(f"{k}: {c}" for k, c in sorted(kinds.items()))
 
 
-def validate(
-    space: FiniteSpace,
-    triangle_tol: float = DEFAULT_TRIANGLE_TOL,
-    exhaustive_limit: int = 400,
-    sample_triples: int = 2_000_000,
-    seed: int = 0,
-) -> ValidationReport:
-    """Check the FiniteSpace invariants and report every violation.
+def min_plus(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Min-plus product out[i, j] = min_k A[i, k] + B[k, j], one k at a time.
+    Each entry is a minimum of single sums, so any order of k gives the same bits."""
+    out = np.full((A.shape[0], B.shape[1]), np.inf)
+    for k in range(A.shape[1]):
+        np.minimum(out, A[:, k, None] + B[k], out=out)
+    return out
 
-    Non-finite distances or weights are checked first and end the check,
-    since every later comparison with them is meaningless. Diagonal and
-    symmetry are exact checks; the triangle inequality uses
-    ``triangle_tol`` to absorb float round-off of sampled constructions.
-    Above ``exhaustive_limit`` points the O(n^3) triple scan switches to a
-    seeded sample of ``sample_triples`` triples.
-    """
-    D, w = space.metric, space.weights
-    n = space.n
+
+def _basic_violations(D: np.ndarray, w: np.ndarray) -> list[tuple]:
+    """(kind, where, value) violations of the O(n^2) invariants; see validate."""
     out: list[tuple] = []
-
     for i, j in np.argwhere(~np.isfinite(D))[: 100]:
         out.append(("non_finite", (int(i), int(j)), float(D[i, j])))
     for i in np.flatnonzero(~np.isfinite(w)):
         out.append(("non_finite", (int(i),), float(w[i])))
     if out:
-        return ValidationReport(violations=tuple(out), triangle_tol=triangle_tol,
-                                triangle_mode="skipped")
+        return out
 
     diag = np.flatnonzero(np.diag(D) != 0)
     out.extend(("diagonal", (int(i),), float(D[i, i])) for i in diag)
@@ -222,34 +211,47 @@ def validate(
         out.append(("negative_weight", (int(i),), float(w[i])))
     if w.sum() <= 0:
         out.append(("total_mass", (), float(w.sum())))
+    return out
+
+
+def validate(space: FiniteSpace) -> ValidationReport:
+    """Check the FiniteSpace invariants and report every violation.
+
+    Non-finite distances or weights are checked first and end the check,
+    since every later comparison with them is meaningless. Diagonal and
+    symmetry are exact checks; the triangle inequality allows TRIANGLE_TOL
+    (1e-9) to absorb float round-off of sampled constructions. Above 400
+    points the O(n^3) triple scan switches to 2,000,000 triples drawn with
+    seed 0.
+    """
+    D = space.metric
+    n = space.n
+    out = _basic_violations(D, space.weights)
+    if out and out[0][0] == "non_finite":
+        return ValidationReport(violations=tuple(out), triangle_tol=TRIANGLE_TOL,
+                                triangle_mode="skipped")
 
     mode = "exhaustive"
-    if n <= exhaustive_limit:
-        # worst violation per (i,j): d(i,j) - min_k (d(i,k)+d(k,j)); chunk over k
-        best = np.full((n, n), np.inf)
-        for k0 in range(0, n, 64):
-            k1 = min(n, k0 + 64)
-            # cand[i, k, j] = d(i,k) + d(k,j)
-            cand = D[:, k0:k1, None] + D[k0:k1, :][None, :, :]
-            np.minimum(best, cand.min(axis=1), out=best)
-        gap = D - best
-        bad = np.argwhere(gap > triangle_tol)
+    if n <= 400:
+        # worst violation per (i,j): d(i,j) - min_k (d(i,k)+d(k,j))
+        gap = D - min_plus(D, D)
+        bad = np.argwhere(gap > TRIANGLE_TOL)
         for i, j in bad[: 200]:
             k = int(np.argmin(D[i] + D[:, j]))
             out.append(("triangle", (int(i), k, int(j)), float(gap[i, j])))
     else:
         mode = "sampled"
-        rng = np.random.default_rng(seed)
-        m = min(sample_triples, n * n * 4)
+        rng = np.random.default_rng(0)
+        m = min(2_000_000, n * n * 4)
         ii = rng.integers(0, n, size=m)
         jj = rng.integers(0, n, size=m)
         kk = rng.integers(0, n, size=m)
         gap = D[ii, jj] - (D[ii, kk] + D[kk, jj])
-        bad = np.flatnonzero(gap > triangle_tol)
+        bad = np.flatnonzero(gap > TRIANGLE_TOL)
         for b in bad[: 200]:
             out.append(("triangle", (int(ii[b]), int(kk[b]), int(jj[b])), float(gap[b])))
 
-    return ValidationReport(violations=tuple(out), triangle_tol=triangle_tol, triangle_mode=mode)
+    return ValidationReport(violations=tuple(out), triangle_tol=TRIANGLE_TOL, triangle_mode=mode)
 
 
 def rescale(ps: PointedSpace, r: float) -> PointedSpace:
@@ -332,13 +334,13 @@ def doubling_profile(
     space: FiniteSpace,
     radii: Sequence[float],
     centers: str | Sequence[int] = "auto",
-    center_budget: int = 512,
     seed: int = 0,
     iterated_samples: int = 1000,
-    iterated_tol: float = 1e-9,
 ) -> DoublingProfile:
     """Worst-case doubling ratios over sampled centers plus the iterated bound check.
 
+    ``centers="auto"`` takes the support, or a seeded sample of 512 points of
+    a larger one; explicit centers must lie in the support.
     The iterated inequality m(B_R(a)) <= m(B_r(x)) * C(R)^(log2(R/r)+2) is
     verified on sampled tuples with x in B_R(a) and r <= R drawn from the
     profiled radii, C being the envelope.
@@ -350,13 +352,15 @@ def doubling_profile(
     if isinstance(centers, str):
         if centers not in ("auto", "all"):
             raise ValueError("centers must be 'auto', 'all', or an index list")
-        if centers == "all" or supp.size <= center_budget:
+        if centers == "all" or supp.size <= 512:
             cidx = supp
         else:
             rng = np.random.default_rng(seed)
-            cidx = rng.choice(supp, size=center_budget, replace=False)
+            cidx = rng.choice(supp, size=512, replace=False)
     else:
         cidx = np.asarray(list(centers), dtype=int)
+        if (space.weights[cidx] <= 0).any():
+            raise ValueError("doubling centers must lie in the support of the measure")
 
     w = space.weights
     D = space.metric[cidx]  # (n_centers, n)
@@ -385,7 +389,7 @@ def doubling_profile(
             C = float(envelope[iR])
             bound = mr * C ** (np.log2(R / r) + 2.0)
             checked += 1
-            if mR > bound * (1 + iterated_tol) + iterated_tol:
+            if mR > bound * (1 + 1e-9) + 1e-9:
                 violations.append((a, x, r, R, mR, float(bound)))
 
     return DoublingProfile(
@@ -460,7 +464,8 @@ def load_space(source: str | PathLike | dict) -> PointedSpace | FiniteSpace:
     """Load a space from the JSON format: a file path, or the parsed dict.
 
     Returns a PointedSpace when "base" is present, else a FiniteSpace.
-    Raises ValueError on non-finite distances or weights.
+    Raises ValueError on the first violation that ``validate`` would report,
+    except that the O(n^3) triangle check is left to ``validate``.
     """
     if isinstance(source, dict):
         obj = source
@@ -471,8 +476,6 @@ def load_space(source: str | PathLike | dict) -> PointedSpace | FiniteSpace:
     n = len(points)
     metric = _metric_from_spec(obj["metric"], n)
     weights = np.asarray(obj["weights"], dtype=float)
-    if not (np.isfinite(metric).all() and np.isfinite(weights).all()):
-        raise ValueError("space has non-finite distances or weights")
     coords = None
     if obj["metric"].get("kind") == "euclidean":
         coords = np.asarray(obj["metric"]["coords"], dtype=float)
@@ -483,6 +486,10 @@ def load_space(source: str | PathLike | dict) -> PointedSpace | FiniteSpace:
         coords=coords,
         resolution=obj.get("resolution"),
     )
+    bad = _basic_violations(space.metric, space.weights)
+    if bad:
+        kind, where, value = bad[0]
+        raise ValueError(f"space fails the {kind.replace('_', '-')} check at {where}: {value:g}")
     if "base" in obj and obj["base"] is not None:
         return PointedSpace(space=space, base=int(obj["base"]))
     return space

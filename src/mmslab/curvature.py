@@ -49,33 +49,24 @@ class EnumerationBudgetError(RuntimeError):
 
 
 def sigma(K: float, N: float, t: float, theta: float) -> float:
-    """Distortion coefficient of the reduced curvature-dimension condition.
+    """:func:`sigma_vec` at one separation theta."""
+    return float(sigma_vec(K, N, t, np.array([theta]))[0])
+
+
+def sigma_vec(K: float, N: float, t: float, theta: np.ndarray) -> np.ndarray:
+    """Reduced curvature-dimension distortion coefficients over separations theta.
 
     Four cases: +inf when K*theta^2 >= N*pi^2; sin-ratio on the positive
     finite branch; t when K*theta^2 = 0; sinh-ratio when K*theta^2 < 0.
+    Raises ValueError unless N >= 1, 0 <= t <= 1 and theta >= 0.
     """
+    theta = np.asarray(theta, dtype=float)
     if N < 1:
         raise ValueError("N must be >= 1")
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
-    if theta < 0:
+    if (theta < 0).any():
         raise ValueError("theta must be nonnegative")
-    k2 = K * theta * theta
-    if k2 >= N * _PI2:
-        return math.inf
-    if k2 == 0.0:
-        return t
-    w = theta * math.sqrt(abs(K) / N)
-    if K > 0:
-        return math.sin(t * w) / math.sin(w)
-    if w > 30.0:  # avoid sinh overflow: sinh(tw)/sinh(w) = e^{(t-1)w}(1-e^{-2tw})/(1-e^{-2w})
-        return math.exp((t - 1.0) * w) * (-math.expm1(-2 * t * w)) / (-math.expm1(-2 * w))
-    return math.sinh(t * w) / math.sinh(w)
-
-
-def sigma_vec(K: float, N: float, t: float, theta: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`sigma` over an array of separations theta."""
-    theta = np.asarray(theta, dtype=float)
     out = np.empty(theta.shape)
     k2 = K * theta * theta
     inf_mask = k2 >= N * _PI2
@@ -88,6 +79,7 @@ def sigma_vec(K: float, N: float, t: float, theta: np.ndarray) -> np.ndarray:
         if K > 0:
             out[rest] = np.sin(t * w) / np.sin(w)
         else:
+            # avoid sinh overflow: sinh(tw)/sinh(w) = e^{(t-1)w}(1-e^{-2tw})/(1-e^{-2w})
             big = w > 30.0
             vals = np.empty(w.shape)
             vals[~big] = np.sinh(t * w[~big]) / np.sinh(w[~big])
@@ -173,11 +165,6 @@ _EXISTENCE_NOTE = ("a violation refers to the computed optimal plan only; "
                    "the condition quantifies existentially over plans")
 
 
-def _default_tol(space: FiniteSpace, resolution: float | None) -> float:
-    h = resolution if resolution is not None else space.declared_resolution()
-    return 5.0 * h * space.diameter
-
-
 def _check_ac(space: FiniteSpace, mu: np.ndarray, name: str) -> None:
     bad = (mu > 0) & (space.weights <= 0)
     if bad.any():
@@ -229,22 +216,19 @@ def cdstar_check(
     t_grid: Sequence[float] = (0.25, 0.5, 0.75),
     nprime_grid: Sequence[float] | None = None,
     tol: float | None = None,
-    interpolator=None,
     mode: str = "two_sided",
     plan_search: str = "single",
-    enumeration_budget: int = 50_000,
-    resolution: float | None = None,
 ) -> CdReport:
     """Check the sigma-weighted entropy-convexity inequality on a grid.
 
-    Builds the optimal coupling and its geodesic lift, then compares the
-    Renyi energy of each interpolated measure (LHS) against the
+    Builds the optimal coupling and its lift along the space's oracle, then
+    compares the Renyi energy of each interpolated measure (LHS) against the
     sigma-weighted marginal-density integral (RHS); slack = RHS - LHS must
-    stay above -tol. ``mode='dirac_target'`` keeps only the backward
-    density term, mirroring the one-sided estimate used when the target is
-    a Dirac. ``plan_search='exhaustive'`` re-runs the table over every
-    vertex-optimal plan (instances up to 12 support points) and reports the
-    best one.
+    stay above -tol (default 5 * declared resolution * diameter).
+    ``mode='dirac_target'`` keeps only the backward density term, mirroring
+    the one-sided estimate used when the target is a Dirac.
+    ``plan_search='exhaustive'`` re-runs the table over every vertex-optimal
+    plan (instances up to 12 support points) and reports the best one.
     """
     mu0 = as_probability(space, mu0)
     mu1 = as_probability(space, mu1)
@@ -256,7 +240,7 @@ def cdstar_check(
     if nprime_grid is None:
         nprime_grid = tuple(sorted({float(N), float(N) + 1.0, 2.0 * float(N)}))
     if tol is None:
-        tol = _default_tol(space, resolution)
+        tol = 5.0 * space.declared_resolution() * space.diameter
 
     base = w2(space, mu0, mu1, solver="exact")
     plans: list[tuple[str, Coupling]] = [("lp-vertex", base.plan)]
@@ -265,7 +249,7 @@ def cdstar_check(
     verdict_inconclusive = False
     if plan_search == "exhaustive":
         try:
-            extra = enumerate_optimal_plans(space, mu0, mu1, budget=enumeration_budget)
+            extra = enumerate_optimal_plans(space, mu0, mu1)
             plans = [(f"vertex-{k}", p) for k, p in enumerate(extra)]
             provenance["enumerated_plans"] = len(extra)
         except EnumerationBudgetError as exc:
@@ -278,7 +262,7 @@ def cdstar_check(
     best_min = -math.inf
     best_tag = ""
     for tag, coupling in plans:
-        lifted = geodesic_plan(space, coupling, interpolator=interpolator)
+        lifted = geodesic_plan(space, coupling)
         rows = _slack_rows(space, lifted, mu0, mu1, K, t_grid, nprime_grid, mode)
         worst = min(r.slack for r in rows)
         if best_rows is None or worst > best_min:
@@ -341,19 +325,15 @@ def _tree_flows(nodes: list[int], edges: list[tuple[int, int]], demand: dict[int
     return {edges[k]: max(f, 0.0) for k, f in enumerate(flows) if abs(f) > 0}
 
 
-def enumerate_optimal_plans(
-    space: FiniteSpace,
-    mu0,
-    mu1,
-    budget: int = 50_000,
-    reduced_cost_tol: float = 1e-8,
-) -> list[Coupling]:
+def enumerate_optimal_plans(space: FiniteSpace, mu0, mu1) -> list[Coupling]:
     """All vertex-optimal transport plans of a tiny instance.
 
     Solves the LP once, keeps the zero-reduced-cost bipartite subgraph
-    (which carries the whole optimal face) and enumerates its spanning
-    trees per balanced component; each tree with nonnegative flows is a
-    vertex. Instances are limited to 12 support points total.
+    (reduced cost at most 1e-8 times the largest cost, which carries the
+    whole optimal face) and enumerates its spanning trees per balanced
+    component; each tree with nonnegative flows is a vertex. Instances are
+    limited to 12 support points total; EnumerationBudgetError is raised
+    past 50,000 spanning trees in one component or vertex combinations.
     """
     import networkx as nx
 
@@ -369,7 +349,7 @@ def enumerate_optimal_plans(
     C = space.metric[np.ix_(rows, cols)] ** 2
     scale = max(1.0, float(np.abs(C).max()))
     red = C - u[:, None] - v[None, :]
-    opt_edges = np.argwhere(red <= reduced_cost_tol * scale)
+    opt_edges = np.argwhere(red <= 1e-8 * scale)
 
     G = nx.Graph()
     G.add_nodes_from(("r", int(i)) for i in range(len(rows)))
@@ -391,7 +371,7 @@ def enumerate_optimal_plans(
         count = 0
         for tree in nx.SpanningTreeIterator(sub):
             count += 1
-            if count > budget:
+            if count > 50_000:
                 raise EnumerationBudgetError("spanning-tree budget exceeded")
             edges = list(tree.edges)
             flow = _tree_flows(nodes, edges, demand)
@@ -407,7 +387,7 @@ def enumerate_optimal_plans(
     total = 1
     for sols in per_component:
         total *= max(len(sols), 1)
-        if total > budget:
+        if total > 50_000:
             raise EnumerationBudgetError("vertex combination budget exceeded")
 
     plans: list[Coupling] = []
@@ -457,7 +437,6 @@ def prolongability_experiment(
     t_grid: Sequence[float],
     N: float,
     K: float = 0.0,
-    interpolator=None,
 ) -> ProlongReport:
     """Transport the normalized ball measure to the Dirac at its center.
 
@@ -481,7 +460,7 @@ def prolongability_experiment(
     plan = Coupling(rows=rows, cols=np.array([x0]), gamma=gamma, n=space.n)
     mu1 = np.zeros(space.n)
     mu1[x0] = 1.0
-    lifted = geodesic_plan(space, plan, interpolator=interpolator)
+    lifted = geodesic_plan(space, plan)
 
     theta = space.metric[rows, x0]
     rho0 = mu0[rows] / space.weights[rows]

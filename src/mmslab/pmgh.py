@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import PointedSpace
+from .core import PointedSpace, min_plus
 from .transport import transport_lp
 
 __all__ = [
@@ -33,6 +33,7 @@ DEFAULT_RADII = (1.0, 2.0, 4.0, 8.0)
 EXACT_CAP = 900          # per-side ball size for the exact gap LP
 TELEPORT_COST = 1.0
 EXHAUSTIVE_POINT_LIMIT = 9
+EXHAUSTIVE_BUDGET = 2_000_000   # search nodes per radius
 
 
 class CoverageError(ValueError):
@@ -125,24 +126,11 @@ def distortion(A: PointedSpace, B: PointedSpace, corr: Correspondence, R: float)
     return _distortion_local(ball_a.D, ball_b.D, loc)
 
 
-def _glued_cost(DA: np.ndarray, DB: np.ndarray, loc: np.ndarray) -> np.ndarray:
-    """min over corr pairs of d_A(i, x) + d_B(y, j), capped at the teleport cost."""
-    na, nb = DA.shape[0], DB.shape[0]
-    M = DA[:, loc[:, 0]]          # (na, k)
-    N = DB[loc[:, 1], :]          # (k, nb)
-    out = np.full((na, nb), np.inf)
-    step = max(1, 4_000_000 // max(na * nb, 1))
-    for p0 in range(0, loc.shape[0], step):
-        p1 = min(loc.shape[0], p0 + step)
-        cand = M[:, p0:p1, None] + N[p0:p1, :][None, :, :]
-        np.minimum(out, cand.min(axis=1), out=out)
-    return np.minimum(out, TELEPORT_COST)
-
-
 def _gap_lp(DA, DB, wa, wb, loc) -> float:
     """Teleportation transport LP between ball measures through the relation.
 
-    Mass moves at the glued cost (zero along corr pairs, capped at 1);
+    Mass moves at the glued cost min over pairs (x, y) of d_A(i, x) +
+    d_B(y, j), zero along corr pairs and capped at 1 by the kernel;
     creating or destroying mass costs 1 per unit. Zero exactly iff the
     relation transports one measure onto the other.
     """
@@ -151,7 +139,8 @@ def _gap_lp(DA, DB, wa, wb, loc) -> float:
         if len(np.unique(loc[:, 0])) == len(wa) and len(np.unique(loc[:, 1])) == len(wb):
             if np.array_equal(wa[loc[:, 0]], wb[loc[:, 1]]):
                 return 0.0
-    return transport_lp(_glued_cost(DA, DB, loc), wa, wb, teleport=TELEPORT_COST)[1]
+    glued = min_plus(DA[:, loc[:, 0]], DB[loc[:, 1], :])
+    return transport_lp(glued, wa, wb, teleport=TELEPORT_COST)[1]
 
 
 def measure_gap(A: PointedSpace, B: PointedSpace, corr: Correspondence, R: float) -> float:
@@ -213,12 +202,12 @@ def _features(D: np.ndarray, w: np.ndarray, base: int) -> np.ndarray:
     return np.stack([D[base], mean_d, rms_d], axis=1)
 
 
-def _mds_embedding(D: np.ndarray, dims: int = 3) -> np.ndarray:
+def _mds_embedding(D: np.ndarray) -> np.ndarray:
     n = D.shape[0]
     J = np.eye(n) - 1.0 / n
     B = -0.5 * J @ (D**2) @ J
     vals, vecs = np.linalg.eigh(B)
-    order = np.argsort(vals)[::-1][:dims]
+    order = np.argsort(vals)[::-1][:3]
     vals, vecs = vals[order], vecs[:, order]
     keep = vals > max(float(vals.max()), 0.0) * 1e-9 if vals.size else np.zeros(0, bool)
     if not keep.any():
@@ -353,10 +342,10 @@ def _init_candidates(DA, DB, wa, wb, base_a, base_b):
     return cands, EA_full, EB_full
 
 
-def _icp_refine(EA, EB, fa, gb, rounds: int = 4):
+def _icp_refine(EA, EB, fa, gb):
     """Procrustes refinement: align the embeddings on the current matching,
-    re-match by nearest neighbor, repeat. Fixes residual rotations that the
-    sampled candidates leave behind."""
+    re-match by nearest neighbor, four rounds. Fixes residual rotations that
+    the sampled candidates leave behind."""
     from scipy.spatial import cKDTree
 
     d = min(EA.shape[1], EB.shape[1])
@@ -364,7 +353,7 @@ def _icp_refine(EA, EB, fa, gb, rounds: int = 4):
     EB = EB[:, :d]
     tree_b = cKDTree(EB)
     tree_a = cKDTree(EA)
-    for _ in range(rounds):
+    for _ in range(4):
         C = EA.T @ EB[fa]
         U, _, Vt = np.linalg.svd(C)
         R = U @ Vt
@@ -437,7 +426,7 @@ def _free_flow(wa: np.ndarray, wb: np.ndarray, loc: np.ndarray) -> float:
     return float(((1 - S) @ wa + ((S @ adj) > 0) @ wb).min())
 
 
-def _exhaustive_radius(ball_a: _Ball, ball_b: _Ball, budget: int,
+def _exhaustive_radius(ball_a: _Ball, ball_b: _Ball,
                        upper_pairs: np.ndarray | None) -> np.ndarray:
     """Relation attaining the exact infimum of distortion + gap over all
     covering relations (tiny balls)."""
@@ -497,7 +486,7 @@ def _exhaustive_radius(ball_a: _Ball, ball_b: _Ball, budget: int,
     def dfs(pos: int, chosen: list[int], dist: float, rows: int, cols: int):
         nonlocal nodes
         nodes += 1
-        if nodes > budget:
+        if nodes > EXHAUSTIVE_BUDGET:
             raise PmghBudgetError("exhaustive enumeration budget exceeded")
         if best == 0.0:
             return
@@ -586,7 +575,6 @@ def pmgh_distance(
     seed: int = 0,
     proposals: int = 10_000,
     restarts: int = 2,
-    budget: int = 2_000_000,
 ) -> PmghEstimate:
     """Surrogate pmGH distance between normalized pointed spaces.
 
@@ -599,10 +587,11 @@ def pmgh_distance(
     ``proposals`` moves, seeded by ``seed`` plus the radius index; the value
     is an upper bound backed by ``certificates`` (one relation per radius) and
     ``lower_bound`` is None. ``mode="exhaustive"`` enumerates every covering
-    relation, with at most ``budget`` search nodes per radius, starting from a
-    short anneal; the value is exact and ``lower_bound`` equals it. It is
-    limited to EXHAUSTIVE_POINT_LIMIT (9) ball points in total per radius and
-    raises PmghBudgetError above that or past the budget (CLI exit 3).
+    relation, with at most EXHAUSTIVE_BUDGET (2,000,000) search nodes per
+    radius, starting from a short anneal; the value is exact and
+    ``lower_bound`` equals it. It is limited to EXHAUSTIVE_POINT_LIMIT (9)
+    ball points in total per radius and raises PmghBudgetError above that
+    or past the budget (CLI exit 3).
     """
     if mode not in ("anneal", "exhaustive"):
         raise ValueError("mode must be 'anneal' or 'exhaustive'")
@@ -621,7 +610,7 @@ def pmgh_distance(
         weight = 2.0 ** (-k)
         if exact:
             seed_pairs = _anneal_radius(ball_x, ball_y, seed + k, proposals=2000, restarts=1)
-            loc = _exhaustive_radius(ball_x, ball_y, budget, seed_pairs)
+            loc = _exhaustive_radius(ball_x, ball_y, seed_pairs)
         else:
             loc = _anneal_radius(ball_x, ball_y, seed + k, proposals=proposals, restarts=restarts)
         dist = _distortion_local(ball_x.D, ball_y.D, loc)

@@ -181,7 +181,6 @@ def iterated_tangent_check(
     offset: float = 1.0,
     window: float = 8.0,
     inner_radii: Sequence[float] | None = None,
-    seed: int = 0,
     **pmgh_kwargs,
 ) -> IteratedTangentReport:
     """Blow up, re-point the finest tangent approximation, blow up again.
@@ -215,7 +214,7 @@ def iterated_tangent_check(
     best_pair = None
     for im in inner.usable_members():
         for om in seq.usable_members():
-            est = pmgh_distance(im.space, om.space, seed=seed, **pmgh_kwargs)
+            est = pmgh_distance(im.space, om.space, **pmgh_kwargs)
             rows.append((im.radius, om.radius, est.value))
             if est.value < best:
                 best = est.value
@@ -566,7 +565,7 @@ def _product_measure_defect(b, ww, assign, dprime, wq, base_rep, window) -> floa
     cost_full = cell_d.transpose(0, 2, 1, 3).reshape(na, na)
     wa = actual.reshape(na)
     wb = product.reshape(na)
-    gap = transport_lp(np.minimum(cost_full, TELEPORT_COST), wa, wb, teleport=TELEPORT_COST)[1]
+    gap = transport_lp(cost_full, wa, wb, teleport=TELEPORT_COST)[1]
     total = max(wa.sum(), 1e-300)
     return float(gap / total)
 

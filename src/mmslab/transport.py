@@ -11,7 +11,6 @@ interpolation is delegated to an interpolation oracle that maps an
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 from scipy import sparse
@@ -42,14 +41,14 @@ class MissingInterpolatorError(ValueError):
     """Operation needs a geodesic oracle and the space carries none."""
 
 
-def as_probability(space: FiniteSpace, mu, tol: float = 1e-12) -> np.ndarray:
+def as_probability(space: FiniteSpace, mu) -> np.ndarray:
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (space.n,):
         raise MassMismatchError(f"measure has shape {mu.shape}, expected ({space.n},)")
     if (mu < 0).any():
         raise MassMismatchError("measure has negative entries")
-    if abs(mu.sum() - 1.0) > tol:
-        raise MassMismatchError(f"measure mass {mu.sum()} is not 1 within {tol}")
+    if abs(mu.sum() - 1.0) > 1e-12:
+        raise MassMismatchError(f"measure mass {mu.sum()} is not 1 within 1e-12")
     return mu
 
 
@@ -76,15 +75,15 @@ class Coupling:
         D = metric[np.ix_(self.rows, self.cols)]
         return float((self.gamma * D * D).sum())
 
-    def atoms(self, threshold: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(i, j, mass) triplets with mass > threshold, in full-space indices."""
-        ii, jj = np.nonzero(self.gamma > threshold)
+    def atoms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(i, j, mass) triplets with positive mass, in full-space indices."""
+        ii, jj = np.nonzero(self.gamma > 0)
         return self.rows[ii], self.cols[jj], self.gamma[ii, jj]
 
-    def check_marginals(self, mu0, mu1, tol: float = 1e-9) -> bool:
+    def check_marginals(self, mu0, mu1) -> bool:
         return (
-            np.abs(self.marginal0() - mu0).max() <= tol
-            and np.abs(self.marginal1() - mu1).max() <= tol
+            np.abs(self.marginal0() - mu0).max() <= 1e-9
+            and np.abs(self.marginal1() - mu1).max() <= 1e-9
         )
 
     def to_triplet_rows(self) -> list[tuple[int, int, float]]:
@@ -111,13 +110,16 @@ def transport_lp(
 ) -> tuple[np.ndarray, float, np.ndarray, np.ndarray, dict]:
     """Transportation LP with cost ``C`` (n0, n1) between masses ``a`` and ``b``.
 
-    With ``teleport`` set, mass may also be created or destroyed at that
-    cost per unit (one slack column per row and per column), so a and b
-    need not balance. Returns (gamma, cost, u, v, certificate): the plan,
-    the optimal value, the row and column duals, and the certificate's
-    ``min_reduced_cost`` over every column and ``duality_gap``. Raises
-    RuntimeError if the solve fails or the duals are infeasible.
+    With ``teleport`` set, every arc costs ``min(C, teleport)``, and mass
+    may also be created or destroyed at that cost per unit (one slack
+    column per row and per column), so a and b need not balance. Returns
+    (gamma, cost, u, v, certificate): the plan, the optimal value, the row
+    and column duals, and the certificate's ``min_reduced_cost`` over every
+    column and ``duality_gap``. Raises RuntimeError if the solve fails or
+    the duals are infeasible.
     """
+    if teleport is not None:
+        C = np.minimum(C, teleport)
     n0, n1 = C.shape
     A_rows = sparse.kron(sparse.eye(n0), np.ones((1, n1)))
     A_cols = sparse.kron(np.ones((1, n0)), sparse.eye(n1))
@@ -147,23 +149,23 @@ def transport_lp(
     return gamma, float(res.fun), u, v, cert
 
 
-def _sinkhorn(C: np.ndarray, a: np.ndarray, b: np.ndarray, reg: float,
-              max_iter: int, marginal_tol: float) -> tuple[np.ndarray, int, float]:
+def _sinkhorn(C: np.ndarray, a: np.ndarray, b: np.ndarray,
+              reg: float) -> tuple[np.ndarray, int, float]:
     """Log-domain Sinkhorn; returns a feasible (rounded) plan."""
     f = np.zeros(len(a))
     g = np.zeros(len(b))
     loga, logb = np.log(a), np.log(b)
     it = 0
     err = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, 10_001):
         M = (f[:, None] + g[None, :] - C) / reg
         f = f + reg * (loga - _logsumexp_rows(M))
         M = (f[:, None] + g[None, :] - C) / reg
         g = g + reg * (logb - _logsumexp_rows(M.T))
-        if it % 10 == 0 or it == max_iter:
+        if it % 10 == 0:  # includes the last sweep
             P = np.exp((f[:, None] + g[None, :] - C) / reg)
             err = np.abs(P.sum(axis=1) - a).sum() + np.abs(P.sum(axis=0) - b).sum()
-            if err <= marginal_tol:
+            if err <= 1e-8:
                 break
     P = np.exp((f[:, None] + g[None, :] - C) / reg)
     # round to the transport polytope (scale rows/cols down, fix residual rank-one)
@@ -190,8 +192,6 @@ def w2(
     mu1,
     solver: str = "exact",
     reg: float = 1e-2,
-    max_iter: int = 10_000,
-    marginal_tol: float = 1e-8,
 ) -> W2Result:
     """Quadratic transport between probability measures on ``space``.
 
@@ -200,9 +200,9 @@ def w2(
     ``meta`` carries the duals ``u``, ``v`` with their dual certificate
     (``min_reduced_cost``, ``duality_gap``). Entropic mode runs log-domain
     matrix scaling at regularization ``reg`` (squared distance units),
-    stopping at L1 marginal error ``marginal_tol`` or ``max_iter`` sweeps,
-    and rounds the plan back to the polytope so the reported cost
-    upper-bounds the exact one.
+    stopping at L1 marginal error 1e-8 or after 10,000 sweeps, and rounds
+    the plan back to the polytope so the reported cost upper-bounds the
+    exact one.
     """
     mu0 = as_probability(space, mu0)
     mu1 = as_probability(space, mu1)
@@ -215,7 +215,7 @@ def w2(
         gamma, cost, u, v, cert = transport_lp(C, a, b)
         meta = {"u": u, "v": v, **cert}
     elif solver == "entropic":
-        gamma, iters, err = _sinkhorn(C, a, b, reg, max_iter, marginal_tol)
+        gamma, iters, err = _sinkhorn(C, a, b, reg)
         cost = float((gamma * C).sum())
         meta = {"iterations": iters, "marginal_error": err, "reg": reg}
     else:
@@ -317,18 +317,17 @@ class MetricInterpolator(Interpolator):
         return MetricInterpolator(self.D[np.ix_(idx, idx)], eps_geo=self.eps_geo)
 
 
-def _get_interpolator(space: FiniteSpace, interpolator) -> Interpolator:
-    interp = interpolator if interpolator is not None else space.interpolator
-    if interp is None:
+def _get_interpolator(space: FiniteSpace) -> Interpolator:
+    if space.interpolator is None:
         raise MissingInterpolatorError("space carries no interpolation oracle")
-    return interp
+    return space.interpolator
 
 
-def interpolate(space: FiniteSpace, plan: Coupling, t: float, interpolator=None) -> np.ndarray:
-    """Pushforward of the plan mass along the interpolation oracle at time t."""
+def interpolate(space: FiniteSpace, plan: Coupling, t: float) -> np.ndarray:
+    """Pushforward of the plan mass along the space's oracle at time t."""
     if not (0.0 <= t <= 1.0):
         raise ValueError("t must lie in [0, 1]")
-    interp = _get_interpolator(space, interpolator)
+    interp = _get_interpolator(space)
     ii, jj, mm = plan.atoms()
     out = np.zeros(space.n)
     kk = interp.many(ii, jj, t)
@@ -348,7 +347,6 @@ class GeodesicPlan:
     defects: np.ndarray          # per-path constant-speed defect on the sample grid
     flagged: np.ndarray          # defect > eps_geo
     eps_geo: float
-    sample_ts: tuple
 
     def evaluate(self, t: float) -> np.ndarray:
         out = np.zeros(self.space.n)
@@ -372,20 +370,16 @@ class GeodesicPlan:
         return float(self.mass[self.flagged].sum())
 
 
-def geodesic_plan(
-    space: FiniteSpace,
-    plan: Coupling,
-    interpolator=None,
-    sample_ts: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 1.0),
-) -> GeodesicPlan:
-    """Lift a coupling to paths and grade each against constant-speed geodesy.
+def geodesic_plan(space: FiniteSpace, plan: Coupling) -> GeodesicPlan:
+    """Lift a coupling to paths of the space's oracle and grade each against
+    constant-speed geodesy at the times 0, 1/4, 1/2, 3/4 and 1.
 
     Paths failing the eps_geo check are flagged (and their mass totalled) but
     the plan is returned regardless.
     """
-    interp = _get_interpolator(space, interpolator)
+    interp = _get_interpolator(space)
     ii, jj, mm = plan.atoms()
-    ts = tuple(sample_ts)
+    ts = (0.0, 0.25, 0.5, 0.75, 1.0)
     P = np.stack([interp.many(ii, jj, t) for t in ts], axis=0)  # (nt, natoms)
     L = space.metric[ii, jj]
     defects = np.zeros(len(ii))
@@ -404,5 +398,4 @@ def geodesic_plan(
         defects=defects,
         flagged=flagged,
         eps_geo=float(eps),
-        sample_ts=ts,
     )

@@ -206,6 +206,44 @@ def test_non_finite_space_exit_code(tmp_path):
     assert code == cli.EXIT_VALIDATION
 
 
+def _corrupt_weight(obj):
+    obj["weights"][0] = -0.5
+
+
+def _corrupt_symmetry(obj):
+    obj["metric"]["data"][0][1] += 0.1
+
+
+def _corrupt_sign(obj):
+    obj["metric"]["data"][0][1] = obj["metric"]["data"][1][0] = -0.25
+
+
+def _corrupt_diagonal(obj):
+    obj["metric"]["data"][1][1] = 0.1
+
+
+@pytest.mark.parametrize("corrupt", [_corrupt_weight, _corrupt_symmetry, _corrupt_sign,
+                                     _corrupt_diagonal], ids=lambda f: f.__name__[9:])
+def test_invalid_space_exit_code(tmp_path, corrupt):
+    # each of these once loaded silently and produced a W2 value
+    obj = core.space_to_dict(models.make(models.ModelSpec("euclidean-grid", dim=1, h=0.25, extent=0.5)))
+    corrupt(obj)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code = run(["w2", str(path), "--mu0", "dirac:2", "--mu1", "dirac:3", "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("command", [["cdstar", "--K", "0", "--N", "1"],
+                                     ["prolong", "--R", "0.3", "--N", "1"]],
+                         ids=lambda c: c[0])
+def test_time_outside_unit_interval_exit_code(tmp_path, command):
+    # t = 1.5 once evaluated sigma at the negative time 1 - t
+    code = run([command[0], "euclidean-grid:1d,h=0.1,extent=0.5", *command[1:],
+                "--t-grid", "0.5,1.5", "--out", str(tmp_path)])
+    assert code == cli.EXIT_VALIDATION
+
+
 def _source_reading_args(fn, seen=()):
     """Source of fn plus that of every cli helper it hands ``args`` to."""
     text = inspect.getsource(fn)

@@ -187,6 +187,14 @@ class TestDoubling:
         assert prof.iterated_checked > 0
         assert not prof.iterated_violations
 
+    def test_center_outside_support_rejected(self):
+        # a zero-weight center has m(B_r) = 0, which made the ratio nan
+        D = np.array([[0, 1.0, 2.0], [1.0, 0, 1.0], [2.0, 1.0, 0]])
+        sp = FiniteSpace((0, 1, 2), D, np.array([1.0, 0.0, 1.0]))
+        assert core.doubling_profile(sp, [0.5, 1.5], centers=[0]).ratios.size == 2
+        with pytest.raises(ValueError, match="support"):
+            core.doubling_profile(sp, [0.5, 1.5], centers=[1])
+
     def test_envelope_at_steps(self):
         ps = models.make(models.ModelSpec("euclidean-grid", dim=1, h=0.05, extent=1.0))
         prof = core.doubling_profile(ps.space, [0.1, 0.2, 0.4])
@@ -232,7 +240,7 @@ class TestProduct:
         B = FiniteSpace(tuple(range(nb)),
                         np.linalg.norm(pb[:, None] - pb[None, :], axis=2),
                         rng.random(nb) + 0.1)
-        rep = core.validate(core.product(A, B), triangle_tol=1e-9)
+        rep = core.validate(core.product(A, B))
         assert rep.ok
 
 

@@ -81,11 +81,11 @@ class TestSigma:
         vals = [curvature.sigma(K, N, t, theta) for t in ts]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
-    def test_vectorized_matches_scalar(self):
+    def test_vectorized_matches_oracle(self):
         thetas = np.array([0.0, 0.5, 1.0, 2.0, 4.0])
         for K, N, t in ((1.0, 1.0, 0.3), (-2.0, 3.0, 0.6), (0.0, 2.0, 0.4)):
             vec = curvature.sigma_vec(K, N, t, thetas)
-            ref = [curvature.sigma(K, N, t, th) for th in thetas]
+            ref = [sigma_hp(K, N, t, th) for th in thetas.tolist()]
             for v, r in zip(vec, ref):
                 assert v == pytest.approx(r, abs=1e-14) or (np.isinf(v) and np.isinf(r))
 
@@ -191,6 +191,20 @@ class TestCdstar:
             a, b = base.slack_table(), rep.slack_table()
             assert np.abs(a[:, 4] - b[:, 4]).max() <= 1e-9
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_relabel_invariance(self, seed):
+        # on a line the optimal plan is unique, so a relabeling of the points
+        # permutes the computation and leaves the slack table as it was
+        ps = grid_1d(0.05)
+        rng = np.random.default_rng(seed)
+        mu0, mu1 = (rng.random(ps.n) + 0.05 for _ in range(2))
+        mu0, mu1 = mu0 / mu0.sum(), mu1 / mu1.sum()
+        P = rng.permutation(ps.n)
+        base = curvature.cdstar_check(ps.space, mu0, mu1, K=0.5, N=2.0)
+        rep = curvature.cdstar_check(ps.space.subset(P), mu0[P], mu1[P], K=0.5, N=2.0)
+        assert np.abs(base.slack_table() - rep.slack_table()).max() <= 1e-12
+
     def test_measure_scaling_invariance(self):
         ps = grid_1d(0.02)
         mu0, mu1 = halves(ps)
@@ -242,7 +256,7 @@ class TestEnumerateOptimalPlans:
         plans = curvature.enumerate_optimal_plans(sp, mu0, mu1)
         assert len(plans) == 2
         for p in plans:
-            assert p.check_marginals(mu0, mu1, tol=1e-9)
+            assert p.check_marginals(mu0, mu1)
 
     def test_unique_optimum_single_vertex(self):
         x = np.arange(4.0)

@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports is used in that module, every
-module-level private name is referenced somewhere in the package, and every
-function reads each of its parameters."""
+module-level private name is referenced somewhere in the package, every
+function reads each of its parameters, and some caller sets each parameter
+that has a default."""
 import ast
 from pathlib import Path
 
@@ -113,3 +114,55 @@ def test_no_unused_parameters(path):
         name = getattr(fn, "name", "<lambda>")
         unused += [f"{name}({p.arg}) (line {fn.lineno})" for p in params if p.arg not in read]
     assert not unused, f"{path.name} has parameters their functions never read: {unused}"
+
+
+ROOT = SRC.parents[1]
+CALLER_FILES = sorted(p for d in (SRC, ROOT / "tests", ROOT / "bench") for p in d.rglob("*.py"))
+
+
+def _defaulted(fn: ast.FunctionDef | ast.AsyncFunctionDef,
+               method: bool) -> list[tuple[int | None, str]]:
+    """(positional index or None, name) of each parameter with a default;
+    the index counts from the first argument a caller writes."""
+    a = fn.args
+    positional = [*a.posonlyargs, *a.args]
+    skip = 1 if method and not any(ast.unparse(d) == "staticmethod"
+                                   for d in fn.decorator_list) else 0
+    out = [(k - skip, p.arg) for k, p in enumerate(positional)
+           if k >= len(positional) - len(a.defaults)]
+    return out + [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+
+
+def _call_name(call: ast.Call) -> str | None:
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+
+
+def test_every_default_is_passed():
+    # a default no caller ever overrides is a constant dressed as an option.
+    # Calls match by simple name, a class name stands for its __init__, and a
+    # call with *args or **kwargs counts as setting every parameter.
+    calls: dict[str, list[tuple[int, set[str], bool]]] = {}
+    for path in CALLER_FILES:
+        for call in ast.walk(ast.parse(path.read_text())):
+            if isinstance(call, ast.Call) and (name := _call_name(call)):
+                star = (any(isinstance(x, ast.Starred) for x in call.args)
+                        or any(k.arg is None for k in call.keywords))
+                calls.setdefault(name, []).append(
+                    (len(call.args), {k.arg for k in call.keywords}, star))
+    unset = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owners = [(node, None) for node in tree.body]
+        owners += [(fn, cls.name) for cls in tree.body if isinstance(cls, ast.ClassDef)
+                   for fn in cls.body]
+        for fn, cls in owners:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = cls if fn.name == "__init__" else fn.name
+            sites = calls.get(name, [])
+            for pos, param in _defaulted(fn, method=cls is not None):
+                if not any(star or param in kws or (pos is not None and pos < npos)
+                           for npos, kws, star in sites):
+                    unset.append(f"{path.name}:{fn.lineno} {fn.name}({param})")
+    assert not unset, f"parameters no caller sets: {unset}"

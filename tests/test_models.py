@@ -24,7 +24,7 @@ ALL_SPECS = [
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: f"{s.kind}")
 def test_all_kinds_validate(spec):
     ps = make(spec)
-    rep = core.validate(ps.space, triangle_tol=1e-9)
+    rep = core.validate(ps.space)
     assert rep.ok, rep.summary()
     assert ps.space.weights[ps.base] > 0
 

@@ -66,7 +66,7 @@ class TestW2Exact:
             cost = sp.metric[np.ix_(rows, cols)] ** 2
             expect = bruteforce_w2(cost, mu0[rows], mu1[cols])
             assert res.cost_squared == pytest.approx(expect, abs=1e-9, rel=1e-9)
-            assert res.plan.check_marginals(mu0, mu1, tol=1e-9)
+            assert res.plan.check_marginals(mu0, mu1)
 
     def test_plan_is_vertex(self):
         # vertex plans have at most n0 + n1 - 1 atoms
@@ -210,13 +210,29 @@ class TestEntropic:
         assert gaps[-1] <= gaps[0] / 5
         assert gaps[-1] <= 1e-3
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_entropic_above_exact_above_dual(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 14))
+        pts = rng.random((n, 2))
+        D = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
+        sp = FiniteSpace(tuple(range(n)), D, np.ones(n))
+        mu0, mu1 = random_measure(rng, n), random_measure(rng, n)
+        exact = transport.w2(sp, mu0, mu1)
+        entropic = transport.w2(sp, mu0, mu1, solver="entropic", reg=float(rng.uniform(0.01, 0.2)))
+        rows, cols = exact.plan.rows, exact.plan.cols
+        dual = mu0[rows] @ exact.meta["u"] + mu1[cols] @ exact.meta["v"]
+        assert entropic.cost_squared >= exact.cost_squared - 1e-9
+        assert exact.cost_squared >= dual - 1e-9
+
     def test_marginals_feasible_after_rounding(self):
         rng = np.random.default_rng(22)
         sp = line_space(15, h=0.3)
         mu0 = random_measure(rng, 15)
         mu1 = random_measure(rng, 15)
         res = transport.w2(sp, mu0, mu1, solver="entropic", reg=5e-2)
-        assert res.plan.check_marginals(mu0, mu1, tol=1e-9)
+        assert res.plan.check_marginals(mu0, mu1)
 
 
 class TestMonotone1d:
@@ -329,6 +345,17 @@ class TestGeodesicPlan:
         back = gp.endpoint_coupling()
         assert np.abs(back.marginal0() - mu0).max() <= 1e-12
         assert np.abs(back.marginal1() - mu1).max() <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_endpoints_reproduce_marginals(self, seed):
+        ps = models.make(models.ModelSpec("euclidean-grid", dim=2, h=0.25, extent=1.0))
+        rng = np.random.default_rng(seed)
+        mu0 = random_measure(rng, ps.n, support=int(rng.integers(1, 12)))
+        mu1 = random_measure(rng, ps.n, support=int(rng.integers(1, 12)))
+        gp = transport.geodesic_plan(ps.space, transport.w2(ps.space, mu0, mu1).plan)
+        assert np.abs(gp.evaluate(0.0) - mu0).max() <= 1e-12
+        assert np.abs(gp.evaluate(1.0) - mu1).max() <= 1e-12
 
     def test_graph_paths_follow_shortest_path_midpoints(self):
         ps = models.make(models.ModelSpec("graph", n_points=16, seed=5))
