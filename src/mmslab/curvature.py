@@ -451,6 +451,8 @@ def prolongability_experiment(
     d = space.metric[x0]
     ball = np.flatnonzero((d < R) & (space.weights > 0))
     mB = float(space.weights[ball].sum())
+    if mB <= 0:
+        raise ValueError(f"the open ball of radius {R:g} around the center has no mass")
     mu0 = np.zeros(space.n)
     mu0[ball] = space.weights[ball] / mB
 

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import PointedSpace, min_plus
+from .core import PointedSpace
 from .transport import transport_lp
 
 __all__ = [
@@ -126,20 +126,39 @@ def distortion(A: PointedSpace, B: PointedSpace, corr: Correspondence, R: float)
     return _distortion_local(ball_a.D, ball_b.D, loc)
 
 
+def _glued_below_cap(DA, DB, loc) -> np.ndarray:
+    """Glued cost min over pairs (x, y) of d_A(i, x) + d_B(y, j), built only
+    below the cap: a sum below TELEPORT_COST has both terms below it, so
+    each pair fills just the rows within the cap of x and the columns
+    within the cap of y. Entries below the cap equal the dense min-plus
+    product's bit for bit; the others are inf or some sum above the cap."""
+    glued = np.full((DA.shape[0], DB.shape[1]), np.inf)
+    near_a = DA[:, loc[:, 0]] < TELEPORT_COST
+    near_b = DB[loc[:, 1], :] < TELEPORT_COST
+    for k, (x, y) in enumerate(loc):
+        I, J = np.flatnonzero(near_a[:, k]), np.flatnonzero(near_b[k])
+        block = np.ix_(I, J)
+        glued[block] = np.minimum(glued[block], DA[I, x][:, None] + DB[y, J][None, :])
+    return glued
+
+
 def _gap_lp(DA, DB, wa, wb, loc) -> float:
     """Teleportation transport LP between ball measures through the relation.
 
     Mass moves at the glued cost min over pairs (x, y) of d_A(i, x) +
     d_B(y, j), zero along corr pairs and capped at 1 by the kernel;
     creating or destroying mass costs 1 per unit. Zero exactly iff the
-    relation transports one measure onto the other.
+    relation transports one measure onto the other. Only the glued entries
+    below the cap are built, each pair (x, y) filling the rows within 1 of
+    x and the columns within 1 of y (``_glued_below_cap``); the kernel
+    prices every other entry at 1, so the value is the dense glued cost's.
     """
     if loc.shape[0] == len(wa) == len(wb):
         # bijective relation with identical masses transports exactly
         if len(np.unique(loc[:, 0])) == len(wa) and len(np.unique(loc[:, 1])) == len(wb):
             if np.array_equal(wa[loc[:, 0]], wb[loc[:, 1]]):
                 return 0.0
-    glued = min_plus(DA[:, loc[:, 0]], DB[loc[:, 1], :])
+    glued = _glued_below_cap(DA, DB, loc)
     return transport_lp(glued, wa, wb, teleport=TELEPORT_COST)[1]
 
 

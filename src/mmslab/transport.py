@@ -4,6 +4,11 @@ Every exact transport solve in the lab goes through one kernel,
 ``transport_lp``: the transportation LP, optionally with teleportation
 slacks, solved with a dual-simplex backend (vertex-optimal, deterministic)
 and certified by dual feasibility over every column and the duality gap.
+With teleportation at cost T it solves the exact hub form of the capped
+LP (the thresholded ground distance of Pele and Werman, ICCV 2009): the
+capped arcs give way to one hub at T/2 in and T/2 out, with the same
+optimum since min(c, T) <= T/2 + T/2, and the certificate still checks
+all n0 * n1 capped arcs, so it proves the capped LP itself optimal.
 An entropic solver provides the approximate route. Discrete displacement
 interpolation is delegated to an interpolation oracle that maps an
 (i, j, t) query to an existing point.
@@ -110,39 +115,68 @@ def transport_lp(
 ) -> tuple[np.ndarray, float, np.ndarray, np.ndarray, dict]:
     """Transportation LP with cost ``C`` (n0, n1) between masses ``a`` and ``b``.
 
-    With ``teleport`` set, every arc costs ``min(C, teleport)``, and mass
-    may also be created or destroyed at that cost per unit (one slack
-    column per row and per column), so a and b need not balance. Returns
-    (gamma, cost, u, v, certificate): the plan, the optimal value, the row
-    and column duals, and the certificate's ``min_reduced_cost`` over every
-    column and ``duality_gap``. Raises RuntimeError if the solve fails or
-    the duals are infeasible.
+    With ``teleport`` set to T, every arc costs ``min(C, T)``, and mass may
+    also be created or destroyed at T per unit (one slack column per row
+    and per column), so a and b need not balance. This LP is solved in its
+    hub form: the arcs below T are columns, and the capped ones give way to
+    one hub, entered from each row and left to each column at T/2, with one
+    balance row. Both have the same optimum, since min(c, T) <= T/2 + T/2
+    for every pair; the returned plan spreads the hub flow over the pairs
+    in proportion, a plan of the capped LP at that cost.
+
+    Returns (gamma, cost, u, v, certificate): the plan, the optimal value,
+    the row and column duals, and the certificate's ``min_reduced_cost``
+    and ``duality_gap``. The reduced cost runs over every column of the
+    capped LP, all n0 * n1 arcs included, and over the hub columns, so the
+    certificate proves the capped LP optimal, not only its hub form.
+    Raises RuntimeError if the solve fails or the duals are infeasible.
     """
-    if teleport is not None:
-        C = np.minimum(C, teleport)
     n0, n1 = C.shape
-    A_rows = sparse.kron(sparse.eye(n0), np.ones((1, n1)))
-    A_cols = sparse.kron(np.ones((1, n0)), sparse.eye(n1))
-    c = C.ravel()
     if teleport is None:
+        A_rows = sparse.kron(sparse.eye(n0), np.ones((1, n1)))
+        A_cols = sparse.kron(np.ones((1, n0)), sparse.eye(n1))
+        c = C.ravel()
         # the last column sum follows from the others
         A_eq = sparse.vstack([A_rows, A_cols.tocsr()[:-1]])
         b_eq = np.concatenate([a, b[:-1]])
     else:
-        A_eq = sparse.bmat([[A_rows, sparse.eye(n0), None], [A_cols, None, sparse.eye(n1)]])
-        b_eq = np.concatenate([a, b])
-        c = np.concatenate([c, np.full(n0 + n1, float(teleport))])
+        T = float(teleport)
+        C = np.minimum(C, T)
+        ii, jj = np.nonzero(C < T)
+        m = len(ii)
+        # columns: arcs, row slacks, column slacks, row -> hub, hub -> column;
+        # rows: row sums, column sums, hub balance
+        arcs = np.arange(m)
+        A_eq = sparse.bmat([
+            [sparse.csr_matrix((np.ones(m), (ii, arcs)), shape=(n0, m)),
+             sparse.eye(n0), None, sparse.eye(n0), None],
+            [sparse.csr_matrix((np.ones(m), (jj, arcs)), shape=(n1, m)),
+             None, sparse.eye(n1), None, sparse.eye(n1)],
+            [None, None, None, np.ones((1, n0)), -np.ones((1, n1))],
+        ])
+        b_eq = np.concatenate([a, b, [0.0]])
+        c = np.concatenate([C[ii, jj], np.full(n0 + n1, T), np.full(n0 + n1, 0.5 * T)])
     res = linprog(c, A_eq=A_eq.tocsr(), b_eq=b_eq, bounds=(0, None), method="highs-ds")
     if not res.success:
         raise RuntimeError(f"transport LP failed: {res.message}")
-    gamma = np.clip(res.x[: n0 * n1].reshape(n0, n1), 0.0, None)
     y = np.asarray(res.eqlin.marginals, dtype=float)
-    u, v = y[:n0], y[n0:]
+    u, v = y[:n0], y[n0:n0 + n1]
     if teleport is None:
+        gamma = np.clip(res.x[: n0 * n1].reshape(n0, n1), 0.0, None)
         v = np.append(v, 0.0)  # the dropped column sum has dual 0
-    min_red = float((C - u[:, None] - v[None, :]).min())
-    if teleport is not None:
-        min_red = min(min_red, float(teleport - max(u.max(), v.max())))
+        other_red = np.inf
+    else:
+        x = np.clip(res.x, 0.0, None)
+        gamma = np.zeros((n0, n1))
+        gamma[ii, jj] = x[:m]
+        h, g = x[m + n0 + n1: m + 2 * n0 + n1], x[m + 2 * n0 + n1:]
+        if h.sum() > 0:
+            gamma += np.outer(h, g) / h.sum()
+        # slacks, then row -> hub and hub -> column against the hub dual w
+        w = float(y[-1])
+        other_red = min(T - max(u.max(), v.max()),
+                        0.5 * T - float((u + w).max()), 0.5 * T - float((v - w).max()))
+    min_red = min(float((C - u[:, None] - v[None, :]).min()), other_red)
     if min_red < -1e-7 * max(1.0, float(np.abs(c).max())):
         raise RuntimeError(f"transport LP duals are infeasible: reduced cost {min_red:.3g}")
     cert = {"min_reduced_cost": min_red, "duality_gap": abs(float(res.fun) - float(a @ u + b @ v))}

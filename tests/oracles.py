@@ -4,11 +4,12 @@ Everything here is deliberately written against different algorithms (and
 mostly different libraries) than the package code paths it checks:
 lattice metrics come from numpy broadcasting instead of scipy's cdist,
 the cylinder metric from per-point coordinate differences, transport
-plans from spanning-tree vertex enumeration instead of the LP, the line's
-monotone coupling from a quantile sweep, distortion coefficients from
-50-digit mpmath arithmetic, integrals from adaptive quadrature, graph
-metrics from networkx Dijkstra, relation flows from networkx's
-preflow-push instead of a min-cut enumeration.
+plans from spanning-tree vertex enumeration instead of the LP, the
+teleport LP in its dense form (every capped arc a column) instead of the
+hub form, the line's monotone coupling from a quantile sweep, distortion
+coefficients from 50-digit mpmath arithmetic, integrals from adaptive
+quadrature, graph metrics from networkx Dijkstra, relation flows from
+networkx's preflow-push instead of a min-cut enumeration.
 """
 from __future__ import annotations
 
@@ -17,7 +18,8 @@ import itertools
 import mpmath
 import networkx as nx
 import numpy as np
-from scipy import integrate
+from scipy import integrate, sparse
+from scipy.optimize import linprog
 
 from mmslab.core import FiniteSpace
 from mmslab.transport import Coupling, W2Result, as_probability
@@ -163,6 +165,21 @@ def monotone_1d(space: FiniteSpace, mu0, mu1, coords: np.ndarray | None = None) 
             j += 1
     plan = Coupling(rows=rows, cols=cols, gamma=gamma, n=space.n)
     return W2Result(cost, plan, "monotone_1d", {})
+
+
+def dense_teleport_lp(C: np.ndarray, a: np.ndarray, b: np.ndarray, T: float) -> float:
+    """Optimum of the teleport LP in its dense form: every arc a column at
+    cost min(C, T), plus a slack column at T per row and per column."""
+    n0, n1 = C.shape
+    A_eq = sparse.bmat([
+        [sparse.kron(sparse.eye(n0), np.ones((1, n1))), sparse.eye(n0), None],
+        [sparse.kron(np.ones((1, n0)), sparse.eye(n1)), None, sparse.eye(n1)],
+    ])
+    c = np.concatenate([np.minimum(C, T).ravel(), np.full(n0 + n1, float(T))])
+    res = linprog(c, A_eq=A_eq.tocsr(), b_eq=np.concatenate([a, b]),
+                  bounds=(0, None), method="highs")
+    assert res.success, res.message
+    return float(res.fun)
 
 
 # ---------------------------------------------------------------------------

@@ -244,6 +244,14 @@ def test_time_outside_unit_interval_exit_code(tmp_path, command):
     assert code == cli.EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("radius", ["0", "-1"])
+def test_prolong_empty_ball_exit_code(tmp_path, radius):
+    # an open ball of radius <= 0 is empty; its mass was once a divisor
+    code = run(["prolong", "euclidean-grid:1d,h=0.1,extent=0.5", f"--R={radius}", "--N", "1",
+                "--out", str(tmp_path)])
+    assert code == cli.EXIT_VALIDATION
+
+
 def _source_reading_args(fn, seen=()):
     """Source of fn plus that of every cli helper it hands ``args`` to."""
     text = inspect.getsource(fn)

@@ -1,7 +1,7 @@
 """Source hygiene: every name a module imports is used in that module, every
 module-level private name is referenced somewhere in the package, every
-function reads each of its parameters, and some caller sets each parameter
-that has a default."""
+function reads each of its parameters, some caller sets each parameter
+that has a default, and one call site solves every LP."""
 import ast
 from pathlib import Path
 
@@ -166,3 +166,12 @@ def test_every_default_is_passed():
                            for npos, kws, star in sites):
                     unset.append(f"{path.name}:{fn.lineno} {fn.name}({param})")
     assert not unset, f"parameters no caller sets: {unset}"
+
+
+def test_one_linprog_call_site():
+    # every exact transport solve goes through transport.transport_lp, so
+    # its certificate covers them all
+    sites = [f"{path.name}:{call.lineno}" for path in sorted(SRC.glob("*.py"))
+             for call in ast.walk(ast.parse(path.read_text()))
+             if isinstance(call, ast.Call) and _call_name(call) == "linprog"]
+    assert len(sites) == 1, f"linprog is called at {sites}, want one call site"

@@ -8,8 +8,8 @@ from mmslab import cli, core, models, pmgh, tangent_lab
 from mmslab.core import FiniteSpace, PointedSpace
 from mmslab.pmgh import Correspondence, _ball, _gap_lp
 
-from oracles import (bruteforce_corr_infimum, nx_relation_flow, permuted_copy,
-                     random_euclidean_space)
+from oracles import (bruteforce_corr_infimum, dense_teleport_lp, nx_relation_flow,
+                     permuted_copy, random_euclidean_space)
 
 
 def two_point(gap, weights=(1.0, 1.0), base=0):
@@ -225,6 +225,56 @@ def random_covering(rng, na, nb, base_a, base_b):
     xs = np.concatenate([np.arange(na), gb])
     ys = np.concatenate([fa, np.arange(nb)])
     return np.unique(np.stack([xs, ys], axis=1), axis=0)
+
+
+def seeded_grid_ball(rng, spec, R):
+    """Ball of a model grid carrying the density 1 + 0.3 sin(<k, x> + phi)
+    with a random wave vector and phase, as the benchmark's ghdist source."""
+    ps = models.make(models.parse_spec(spec))
+    X = ps.space.coords
+    k = rng.normal(size=X.shape[1])
+    k *= rng.uniform(0.5, 1.5) / np.linalg.norm(k)
+    w = ps.space.weights * (1.0 + 0.3 * np.sin(X @ k + rng.uniform(0.0, 2.0 * np.pi)))
+    return _ball(PointedSpace(FiniteSpace(ps.space.points, ps.space.metric, w), ps.base), R)
+
+
+class TestGapAgainstDenseOracle:
+    """The gap LP builds only the glued arcs below the cap and solves the hub
+    form; the dense teleport LP on the full min-plus glued cost is the oracle."""
+
+    @staticmethod
+    def check(ball_a, ball_b, loc):
+        dense = core.min_plus(ball_a.D[:, loc[:, 0]], ball_b.D[loc[:, 1], :])
+        glued = pmgh._glued_below_cap(ball_a.D, ball_b.D, loc)
+        below = (dense < pmgh.TELEPORT_COST) | (glued < pmgh.TELEPORT_COST)
+        assert np.array_equal(glued[below], dense[below])
+        value = _gap_lp(ball_a.D, ball_b.D, ball_a.w, ball_b.w, loc)
+        expect = dense_teleport_lp(dense, ball_a.w, ball_b.w, pmgh.TELEPORT_COST)
+        assert abs(value - expect) <= 1e-9 * max(1.0, abs(expect))
+
+    def test_point_clouds_unequal_mass(self):
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            na, nb = (int(n) for n in rng.integers(1, 25, size=2))
+            D, w = random_euclidean_space(rng, na)
+            D2, w2 = random_euclidean_space(rng, nb)
+            scale = rng.uniform(0.5, 4.0)
+            ball_a = _ball(PointedSpace(FiniteSpace(tuple(range(na)), D * scale, w), 0), 10.0)
+            ball_b = _ball(PointedSpace(FiniteSpace(tuple(range(nb)), D2 * scale,
+                                                    w2 * rng.uniform(0.5, 2.0)), 0), 10.0)
+            self.check(ball_a, ball_b, random_covering(rng, na, nb, ball_a.base, ball_b.base))
+
+    @pytest.mark.parametrize("spec_b", ["euclidean-grid:2d,h=0.4,extent=3,shape=ball",
+                                        "euclidean-grid:3d,h=0.75,extent=3,shape=ball"],
+                             ids=["2d-2d", "2d-3d"])
+    def test_grid_balls_seeded_density(self, spec_b):
+        spec_a = "euclidean-grid:2d,h=0.5,extent=3,shape=ball"
+        rng = np.random.default_rng(43)
+        for R in (1.0, 2.0, 3.0, 1.5, 2.5):
+            ball_a = seeded_grid_ball(rng, spec_a, R)
+            ball_b = seeded_grid_ball(rng, spec_b, R)
+            na, nb = len(ball_a.w), len(ball_b.w)
+            self.check(ball_a, ball_b, random_covering(rng, na, nb, ball_a.base, ball_b.base))
 
 
 class TestAggregatedGap:

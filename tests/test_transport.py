@@ -150,10 +150,12 @@ class TestW2Exact:
 
 class TestTransportLP:
     def test_teleport_certificate_randomized(self):
+        # spread 7.5 puts most arcs at the cap, so the hub carries flow
         rng = np.random.default_rng(31)
-        for _ in range(30):
+        hub_used = 0
+        for spread in [1.5] * 30 + [7.5] * 30:
             n0, n1 = (int(k) for k in rng.integers(1, 14, size=2))
-            pts = rng.random((n0 + n1, 2)) * 1.5
+            pts = rng.random((n0 + n1, 2)) * spread
             C = np.minimum(np.linalg.norm(pts[:n0, None] - pts[None, n0:], axis=2), 1.0)
             a, b = rng.random(n0) + 0.05, rng.random(n1) + 0.05
             gamma, cost, u, v, cert = transport.transport_lp(C, a, b, teleport=1.0)
@@ -167,6 +169,8 @@ class TestTransportLP:
             ra, rb = a - gamma.sum(axis=1), b - gamma.sum(axis=0)
             assert ra.min() >= -1e-9 and rb.min() >= -1e-9
             assert (gamma * C).sum() + ra.sum() + rb.sum() == pytest.approx(cost, abs=1e-9)
+            hub_used += bool(gamma[C >= 1.0].sum() > 0)
+        assert hub_used >= 20
 
     def test_teleport_on_capped_cost_equals_gap_lp(self):
         from mmslab.pmgh import _gap_lp
@@ -193,6 +197,25 @@ class TestTransportLP:
         C = np.array([[0.0, 4.0], [4.0, 0.0]])
         with pytest.raises(RuntimeError, match="infeasible"):
             transport.transport_lp(C, np.array([0.3, 0.7]), np.array([0.6, 0.4]))
+
+    @pytest.mark.parametrize("shift", [1.0, -1.0])
+    def test_infeasible_hub_dual_raises(self, monkeypatch, shift):
+        solve = transport.linprog
+
+        def shifted(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            y = np.array(res.eqlin.marginals, dtype=float)
+            y[-1] += shift  # the hub balance row only
+            res.eqlin.marginals = y
+            return res
+
+        monkeypatch.setattr(transport, "linprog", shifted)
+        # column 0's shortfall comes from row 1 or 2 through the hub, so a
+        # row -> hub and a hub -> column arc carry flow and are both tight
+        C = np.array([[0.2, 4.0], [4.0, 0.3], [5.0, 6.0]])
+        with pytest.raises(RuntimeError, match="infeasible"):
+            transport.transport_lp(C, np.array([0.3, 0.7, 0.5]), np.array([0.6, 0.4]),
+                                   teleport=1.0)
 
 
 class TestEntropic:
