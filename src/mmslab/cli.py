@@ -61,8 +61,11 @@ def _parse_measure(spec: str, ps: core.PointedSpace) -> np.ndarray:
         mu = np.where(space.weights > 0, space.weights, 0.0)
         return mu / mu.sum()
     if spec.startswith("dirac:"):
+        i = int(spec.split(":", 1)[1])
+        if not 0 <= i < n:
+            raise ValueError(f"dirac point {i} is not an index of the {n}-point space")
         mu = np.zeros(n)
-        mu[int(spec.split(":", 1)[1])] = 1.0
+        mu[i] = 1.0
         return mu
     if spec.startswith("uniform-ball:"):
         R = float(spec.split(":", 1)[1])

@@ -446,6 +446,8 @@ def prolongability_experiment(
     the one-sided sigma-weighted estimate. The coverage of the union of
     supports is the desk-scale shadow of the almost-everywhere statement.
     """
+    if not 0 <= x0 < space.n:
+        raise ValueError(f"center {x0} is not an index of the {space.n}-point space")
     if space.weights[x0] <= 0:
         raise ValueError("center must lie in the support")
     d = space.metric[x0]

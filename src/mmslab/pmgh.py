@@ -3,9 +3,13 @@
 The surrogate compares dyadic balls around the basepoints through a
 correspondence: half the metric distortion plus a teleportation-style
 transport discrepancy between the ball measures, summed over surviving
-radii with weights 2^-k and capped at 1 per radius. Exhaustive mode
-certifies the infimum on tiny balls; anneal mode returns an upper bound
-together with its certificate correspondence.
+radii with weights 2^-k and capped at 1 per radius. Every measure gap is
+the exact teleport LP value through the relation, so isometric balls read
+0. Exhaustive mode certifies the infimum on tiny balls (at most
+EXHAUSTIVE_POINT_LIMIT = 9 ball points in total); anneal mode returns an
+upper bound together with its certificate correspondence (at most
+ANNEAL_POINT_LIMIT = 2,500). Larger balls raise PmghBudgetError before any
+search (CLI exit 3).
 """
 from __future__ import annotations
 
@@ -30,9 +34,9 @@ __all__ = [
 ]
 
 DEFAULT_RADII = (1.0, 2.0, 4.0, 8.0)
-EXACT_CAP = 900          # per-side ball size for the exact gap LP
 TELEPORT_COST = 1.0
-EXHAUSTIVE_POINT_LIMIT = 9
+EXHAUSTIVE_POINT_LIMIT = 9     # total ball points per radius, exhaustive mode
+ANNEAL_POINT_LIMIT = 2_500     # total ball points per radius, anneal mode
 EXHAUSTIVE_BUDGET = 2_000_000   # search nodes per radius
 
 
@@ -41,7 +45,7 @@ class CoverageError(ValueError):
 
 
 class PmghBudgetError(RuntimeError):
-    """Exhaustive search exceeded its budget or size limit."""
+    """The balls exceed the mode's size limit, or the exhaustive search its budget."""
 
 
 @dataclass(frozen=True)
@@ -172,42 +176,6 @@ def measure_gap(A: PointedSpace, B: PointedSpace, corr: Correspondence, R: float
 def _unique_pairs(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """The distinct (x, y) pairs of a relation, sorted."""
     return np.unique(np.stack([xs, ys], axis=1), axis=0)
-
-
-def _aggregate(ball: _Ball, k: int) -> tuple[_Ball, np.ndarray, float]:
-    """Farthest-point anchors: the anchor ball, each point's anchor (its local
-    index there) and the movement slack."""
-    n = len(ball.w)
-    anchors = [ball.base]
-    dist_to = ball.D[ball.base].copy()
-    while len(anchors) < min(k, n):
-        nxt = int(np.argmax(dist_to))
-        if dist_to[nxt] <= 0:
-            break
-        anchors.append(nxt)
-        np.minimum(dist_to, ball.D[nxt], out=dist_to)
-    anchors_arr = np.array(sorted(set(anchors)), dtype=int)
-    assign = np.argmin(ball.D[:, anchors_arr], axis=1)
-    w_agg = np.zeros(len(anchors_arr))
-    np.add.at(w_agg, assign, ball.w)
-    move = float((ball.w * ball.D[np.arange(n), anchors_arr[assign]]).sum())
-    agg = _Ball(idx=ball.idx[anchors_arr],
-                D=ball.D[np.ix_(anchors_arr, anchors_arr)],
-                w=w_agg,
-                base=int(np.searchsorted(anchors_arr, ball.base)))
-    return agg, assign, move
-
-
-def _gap_upper(ball_a: _Ball, ball_b: _Ball, loc: np.ndarray) -> tuple[float, bool]:
-    """Measure gap, exact below EXACT_CAP, else an aggregated upper bound."""
-    na, nb = len(ball_a.w), len(ball_b.w)
-    if na <= EXACT_CAP and nb <= EXACT_CAP:
-        return _gap_lp(ball_a.D, ball_b.D, ball_a.w, ball_b.w, loc), False
-    agg_a, assign_a, move_a = _aggregate(ball_a, EXACT_CAP)
-    agg_b, assign_b, move_b = _aggregate(ball_b, EXACT_CAP)
-    loc_agg = _unique_pairs(assign_a[loc[:, 0]], assign_b[loc[:, 1]])
-    gap = _gap_lp(agg_a.D, agg_b.D, agg_a.w, agg_b.w, loc_agg)
-    return gap + move_a + move_b, True
 
 
 # ---------------------------------------------------------------------------
@@ -450,9 +418,6 @@ def _exhaustive_radius(ball_a: _Ball, ball_b: _Ball,
     """Relation attaining the exact infimum of distortion + gap over all
     covering relations (tiny balls)."""
     na, nb = len(ball_a.w), len(ball_b.w)
-    if na + nb > EXHAUSTIVE_POINT_LIMIT:
-        raise PmghBudgetError(
-            f"exhaustive mode limited to {EXHAUSTIVE_POINT_LIMIT} total ball points, got {na + nb}")
     base_pair = (ball_a.base, ball_b.base)
     pairs = np.array([base_pair] + [(i, j) for i in range(na) for j in range(nb)
                                     if (i, j) != base_pair])
@@ -547,6 +512,8 @@ class RadiusTerm:
     distortion: float
     measure_gap: float
     term: float              # min(1, distortion + measure_gap)
+    # always False: every gap is exact; kept because the benchmark's report
+    # check and tracing (bench/workloads.py, bench/tracing.py) read the key
     aggregated: bool
 
 
@@ -608,22 +575,39 @@ def pmgh_distance(
     ``lower_bound`` is None. ``mode="exhaustive"`` enumerates every covering
     relation, with at most EXHAUSTIVE_BUDGET (2,000,000) search nodes per
     radius, starting from a short anneal; the value is exact and
-    ``lower_bound`` equals it. It is limited to EXHAUSTIVE_POINT_LIMIT (9)
-    ball points in total per radius and raises PmghBudgetError above that
-    or past the budget (CLI exit 3).
+    ``lower_bound`` equals it, and past the budget it raises PmghBudgetError.
+
+    Every measure gap is the exact teleport LP value through the found
+    relation. The balls at the largest surviving radius may hold at most
+    EXHAUSTIVE_POINT_LIMIT (9) points in total in exhaustive mode and
+    ANNEAL_POINT_LIMIT (2,500) in anneal mode; above that PmghBudgetError
+    is raised before any search (CLI exit 3). A radius that is not positive
+    and finite raises ValueError (CLI exit 2).
     """
     if mode not in ("anneal", "exhaustive"):
         raise ValueError("mode must be 'anneal' or 'exhaustive'")
+    grid = DEFAULT_RADII if R_grid is None else tuple(R_grid)
+    for R in grid:
+        if not (math.isfinite(R) and R > 0):
+            raise ValueError(f"radius {R!r} must be positive and finite")
     swapped = _content_key(B) < _content_key(A)
     X, Y = (B, A) if swapped else (A, B)
-
-    grid = DEFAULT_RADII if R_grid is None else tuple(R_grid)
     radii = _surviving_radii(X, Y, grid)
+
+    exact = mode == "exhaustive"
+    if radii:
+        # balls grow with R, so the largest surviving radius bounds them all
+        R = radii[-1]
+        na, nb = (int((P.base_distances() < R).sum()) for P in (A, B))
+        limit = EXHAUSTIVE_POINT_LIMIT if exact else ANNEAL_POINT_LIMIT
+        if na + nb > limit:
+            raise PmghBudgetError(
+                f"{mode} mode is limited to {limit} ball points in total, but the "
+                f"balls at radius {R:g} hold {na} + {nb}")
 
     value = 0.0
     terms: list[RadiusTerm] = []
     certs: list[Correspondence] = []
-    exact = mode == "exhaustive"
     for k, R in enumerate(radii, start=1):
         ball_x, ball_y = _ball(X, R), _ball(Y, R)
         weight = 2.0 ** (-k)
@@ -633,11 +617,11 @@ def pmgh_distance(
         else:
             loc = _anneal_radius(ball_x, ball_y, seed + k, proposals=proposals, restarts=restarts)
         dist = _distortion_local(ball_x.D, ball_y.D, loc)
-        gap, aggregated = _gap_upper(ball_x, ball_y, loc)
+        gap = _gap_lp(ball_x.D, ball_y.D, ball_x.w, ball_y.w, loc)
         term = min(1.0, dist + gap)
         value += weight * term
         terms.append(RadiusTerm(radius=R, weight=weight, distortion=dist,
-                                measure_gap=gap, term=term, aggregated=aggregated))
+                                measure_gap=gap, term=term, aggregated=False))
         pairs_global = np.stack([ball_x.idx[loc[:, 0]], ball_y.idx[loc[:, 1]]], axis=1)
         certs.append(Correspondence(pairs_global))
 

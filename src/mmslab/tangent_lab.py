@@ -399,6 +399,13 @@ _FIBER_SAMPLE = 48     # points per fiber in the quotient-metric average
 _ROW_BLOCK = 32        # rows per block of the exact metric defect (cache-sized)
 
 
+def _quotient_sq(Dw: np.ndarray, b: np.ndarray, I, J) -> np.ndarray:
+    """d^2 - (b_I - b_J)^2 on rows I and columns J, each an index array or a
+    slice: the squared quotient distance a product metric leaves after the line."""
+    block = Dw[I, J] if slice in (type(I), type(J)) else Dw[np.ix_(I, J)]
+    return block ** 2 - (b[I][:, None] - b[J][None, :]) ** 2
+
+
 def split(ps: PointedSpace, line: LineCandidate, window: float | None = None) -> SplitResult:
     """Factor an approximate line off the space around the basepoint.
 
@@ -443,36 +450,24 @@ def split(ps: PointedSpace, line: LineCandidate, window: float | None = None) ->
     if slice_pos.size == 0:
         raise LineTooShortError("empty central slice; resolution too coarse")
 
-    # cluster the slice by the quotient pseudo-metric into representatives
+    # leader clustering of the slice by the quotient pseudo-metric: the first
+    # unplaced point (heaviest first) takes every unplaced point within h/2,
+    # and its cluster is represented by its mass-weighted medoid
     tol = 0.5 * h
-    order = slice_pos[np.lexsort((slice_pos, -ww[slice_pos]))]
+    rest = slice_pos[np.lexsort((slice_pos, -ww[slice_pos]))]
     reps: list[int] = []
-    members: list[list[int]] = []
-    for p in order:
-        placed = False
-        for k, r in enumerate(reps):
-            dq2 = Dw[p, r] ** 2 - (b[p] - b[r]) ** 2
-            if dq2 <= tol * tol:
-                members[k].append(int(p))
-                placed = True
-                break
-        if not placed:
-            reps.append(int(p))
-            members.append([int(p)])
-    # mass-weighted medoids
-    for k, mem in enumerate(members):
-        if len(mem) > 1:
-            mem_arr = np.asarray(mem)
-            sub = np.sqrt(np.maximum(
-                Dw[np.ix_(mem_arr, mem_arr)] ** 2
-                - (b[mem_arr][:, None] - b[mem_arr][None, :]) ** 2, 0.0))
-            cost = (sub * ww[mem_arr][None, :]).sum(axis=1)
-            reps[k] = int(mem_arr[np.argmin(cost)])
+    while rest.size:
+        near = _quotient_sq(Dw, b, rest, rest[:1])[:, 0] <= tol * tol
+        near[0] = True
+        mem = rest[near]
+        cost = (np.sqrt(np.maximum(_quotient_sq(Dw, b, mem, mem), 0.0))
+                * ww[mem][None, :]).sum(axis=1)
+        reps.append(int(mem[np.argmin(cost)]))
+        rest = rest[~near]
     reps_arr = np.asarray(reps, dtype=int)
 
     # assign every windowed point to its nearest representative fiber
-    dq2_all = np.maximum(Dw[:, reps_arr] ** 2 - (b[:, None] - b[reps_arr][None, :]) ** 2, 0.0)
-    assign = np.argmin(dq2_all, axis=1)
+    assign = np.argmin(np.maximum(_quotient_sq(Dw, b, slice(None), reps_arr), 0.0), axis=1)
 
     M = len(reps_arr)
     dprime2 = np.zeros((M, M))
@@ -490,8 +485,7 @@ def split(ps: PointedSpace, line: LineCandidate, window: float | None = None) ->
             fc = samples[c]
             if fc.size == 0:
                 continue
-            block = np.maximum(
-                Dw[np.ix_(fa, fc)] ** 2 - (b[fa][:, None] - b[fc][None, :]) ** 2, 0.0)
+            block = np.maximum(_quotient_sq(Dw, b, fa, fc), 0.0)
             wts = np.outer(ww[fa], ww[fc])
             dprime2[a, c] = dprime2[c, a] = float((block * wts).sum() / wts.sum())
     dprime = np.sqrt(np.maximum(dprime2, 0.0))
@@ -512,7 +506,7 @@ def split(ps: PointedSpace, line: LineCandidate, window: float | None = None) ->
 
     # metric defect: exact maximum over all pairs, one block of rows at a time
     q2 = (dprime ** 2)[assign]
-    resid = max(float(np.abs(Dw[r] ** 2 - (b[r, None] - b) ** 2 - q2[r][:, assign]).max())
+    resid = max(float(np.abs(_quotient_sq(Dw, b, r, slice(None)) - q2[r][:, assign]).max())
                 for r in (slice(lo, lo + _ROW_BLOCK) for lo in range(0, len(idx), _ROW_BLOCK)))
     delta_metric = float(np.sqrt(resid))
 
@@ -541,7 +535,6 @@ def _product_measure_defect(b, ww, assign, dprime, wq, base_rep, window) -> floa
     edges = np.linspace(-box, box, n_bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     binwidth = edges[1] - edges[0]
-    kept_pos = {int(k): i for i, k in enumerate(keep)}
     groups = np.arange(len(keep))
     if len(keep) > 32:  # coarsen fibers for the LP
         groups = np.arange(len(keep)) // (len(keep) // 32 + 1)
@@ -552,7 +545,7 @@ def _product_measure_defect(b, ww, assign, dprime, wq, base_rep, window) -> floa
     for i, k in enumerate(keep):
         product[groups[i], :] += wq[k] * binwidth
     inside = (np.abs(b) <= box) & np.isin(assign, keep)
-    pos = np.array([kept_pos[int(a)] for a in assign[inside]], dtype=int)
+    pos = np.searchsorted(keep, assign[inside])
     which = np.clip(np.searchsorted(edges, b[inside], side="right") - 1, 0, n_bins - 1)
     np.add.at(actual, (groups[pos], which), ww[inside])
 

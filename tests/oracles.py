@@ -9,7 +9,9 @@ teleport LP in its dense form (every capped arc a column) instead of the
 hub form, the line's monotone coupling from a quantile sweep, distortion
 coefficients from 50-digit mpmath arithmetic, integrals from adaptive
 quadrature, graph metrics from networkx Dijkstra, relation flows from
-networkx's preflow-push instead of a min-cut enumeration.
+networkx's preflow-push instead of a min-cut enumeration, the split's
+representatives from a point-by-point leader loop instead of one sweep per
+representative.
 """
 from __future__ import annotations
 
@@ -180,6 +182,30 @@ def dense_teleport_lp(C: np.ndarray, a: np.ndarray, b: np.ndarray, T: float) -> 
                   bounds=(0, None), method="highs")
     assert res.success, res.message
     return float(res.fun)
+
+
+def leader_medoids(Dw: np.ndarray, b: np.ndarray, ww: np.ndarray,
+                   slice_pos: np.ndarray, tol: float) -> np.ndarray:
+    """Representatives of the split's central slice, point by point: in order
+    of decreasing weight each point joins the first leader within tol in the
+    quotient distance (d^2 - (b - b)^2)^(1/2), or becomes a leader; each
+    cluster is then represented by its mass-weighted medoid."""
+    order = slice_pos[np.lexsort((slice_pos, -ww[slice_pos]))]
+    leaders: list[int] = []
+    members: list[list[int]] = []
+    for p in order:
+        for k, r in enumerate(leaders):
+            if Dw[p, r] ** 2 - (b[p] - b[r]) ** 2 <= tol * tol:
+                members[k].append(p)
+                break
+        else:
+            leaders.append(p)
+            members.append([p])
+    reps = []
+    for mem in map(np.asarray, members):
+        q = np.sqrt(np.maximum(Dw[np.ix_(mem, mem)] ** 2 - np.subtract.outer(b[mem], b[mem]) ** 2, 0))
+        reps.append(int(mem[np.argmin((q * ww[mem][None, :]).sum(axis=1))]))
+    return np.asarray(reps, dtype=int)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mmslab import cli, core, models
+from mmslab import cli, core, models, pmgh
 from mmslab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -173,10 +173,21 @@ def test_blowup_command_with_target(tmp_path):
     assert_golden(tmp_path, "blowup", "convergence.csv")
 
 
-def test_validation_error_exit_code(tmp_path):
+@pytest.mark.parametrize("point", ["999", "11", "-1"])
+def test_validation_error_exit_code(tmp_path, point):
+    # the grid has 11 points; a negative index must not wrap to the last one
     code = run(["w2", "euclidean-grid:1d,h=0.1,extent=0.5",
-                "--mu0", "dirac:999", "--mu1", "uniform", "--out", str(tmp_path)])
+                "--mu0", f"dirac:{point}", "--mu1", "uniform", "--out", str(tmp_path)])
     assert code == cli.EXIT_VALIDATION
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("x0", ["-1", "11"])
+def test_prolong_center_out_of_range_exit_code(tmp_path, x0):
+    code = run(["prolong", "euclidean-grid:1d,h=0.1,extent=0.5", "--x0", x0,
+                "--R", "0.3", "--N", "1", "--out", str(tmp_path)])
+    assert code == cli.EXIT_VALIDATION
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_budget_error_exit_code(tmp_path):
@@ -186,6 +197,26 @@ def test_budget_error_exit_code(tmp_path):
     code = run(["ghdist", str(path), str(path), "--mode", "exhaustive",
                 "--radii", "50", "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_BUDGET
+
+
+def test_ghdist_ball_size_limit_fails_fast(tmp_path, monkeypatch, capsys):
+    # 1,681 points per side: above the anneal limit, refused before any search
+    def no_search(*args, **kwargs):
+        raise AssertionError("the size check must run before any search")
+
+    monkeypatch.setattr(pmgh, "_anneal_radius", no_search)
+    code = run(["ghdist", "euclidean-grid:2d,h=0.05", "euclidean-grid:2d,h=0.05",
+                "--normalize", "--out", str(tmp_path)])
+    assert code == cli.EXIT_BUDGET
+    assert "1681 + 1681" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_ghdist_non_positive_radius_exit_code(tmp_path, capsys):
+    code = run(["ghdist", "euclidean-grid:1d,h=0.1,extent=0.5",
+                "euclidean-grid:1d,h=0.1,extent=0.5", "--radii", "0,1", "--out", str(tmp_path)])
+    assert code == cli.EXIT_VALIDATION
+    assert "radius 0.0" in capsys.readouterr().err
 
 
 def test_report_determinism(tmp_path):

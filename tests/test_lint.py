@@ -1,8 +1,11 @@
 """Source hygiene: every name a module imports is used in that module, every
 module-level private name is referenced somewhere in the package, every
 function reads each of its parameters, some caller sets each parameter
-that has a default, and one call site solves every LP."""
+that has a default, one call site solves every LP, and the CLI maps every
+exception class the package defines to a documented exit code."""
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -175,3 +178,17 @@ def test_one_linprog_call_site():
              for call in ast.walk(ast.parse(path.read_text()))
              if isinstance(call, ast.Call) and _call_name(call) == "linprog"]
     assert len(sites) == 1, f"linprog is called at {sites}, want one call site"
+
+
+def test_every_error_has_an_exit_code():
+    # a typed error outside cli's two tuples would end a CLI run in a
+    # traceback instead of exit 2 (validation) or 3 (budget)
+    cli = importlib.import_module("mmslab.cli")
+    mapped = cli._VALIDATION_ERRORS + cli._BUDGET_ERRORS
+    unmapped = []
+    for path in MODULES:
+        module = importlib.import_module(f"mmslab.{path.stem}")
+        unmapped += [f"{path.name} {name}" for name, obj in vars(module).items()
+                     if inspect.isclass(obj) and issubclass(obj, BaseException)
+                     and obj.__module__ == module.__name__ and not issubclass(obj, mapped)]
+    assert not unmapped, f"exception classes with no CLI exit code: {unmapped}"

@@ -277,34 +277,25 @@ class TestGapAgainstDenseOracle:
             self.check(ball_a, ball_b, random_covering(rng, na, nb, ball_a.base, ball_b.base))
 
 
-class TestAggregatedGap:
-    """Balls above EXACT_CAP points are compared through farthest-point anchors."""
+class TestFailFast:
+    """Balls above the mode's size limit and bad radii are refused before
+    any search."""
 
-    def test_aggregated_gap_upper_bounds_exact_lp(self, monkeypatch):
-        monkeypatch.setattr(pmgh, "EXACT_CAP", 5)
-        rng = np.random.default_rng(12)
-        for _ in range(12):
-            na, nb = (int(n) for n in rng.integers(8, 21, size=2))
-            D, w = random_euclidean_space(rng, na)
-            D2, w2 = random_euclidean_space(rng, nb)
-            ball_a = _ball(PointedSpace(FiniteSpace(tuple(range(na)), D, w), 0), 10.0)
-            ball_b = _ball(PointedSpace(FiniteSpace(tuple(range(nb)), D2, w2), 0), 10.0)
-            loc = random_covering(rng, na, nb, ball_a.base, ball_b.base)
-            gap, aggregated = pmgh._gap_upper(ball_a, ball_b, loc)
-            assert aggregated
-            assert gap >= _gap_lp(ball_a.D, ball_b.D, ball_a.w, ball_b.w, loc) - 1e-9
+    def test_anneal_limit_raises_before_search(self, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("the size check must run before any search")
 
-    def test_distance_labels_aggregated_radius(self, monkeypatch):
-        monkeypatch.setattr(pmgh, "EXACT_CAP", 5)
-        rng = np.random.default_rng(13)
-        D, w = random_euclidean_space(rng, 10)
-        D2, w2 = random_euclidean_space(rng, 12)
-        A = PointedSpace(FiniteSpace(tuple(range(10)), D, w), 0)
-        B = PointedSpace(FiniteSpace(tuple(range(12)), D2, w2), 0)
-        est = pmgh.pmgh_distance(A, B, R_grid=(10.0,), seed=1, proposals=500, restarts=1)
-        (term,) = est.per_radius
-        assert term.aggregated
-        assert term.measure_gap > 0.0
+        monkeypatch.setattr(pmgh, "_anneal_radius", no_search)
+        A = models.make(models.ModelSpec("euclidean-grid", dim=1, h=0.1, extent=62.5))
+        assert 2 * A.n == pmgh.ANNEAL_POINT_LIMIT + 2
+        with pytest.raises(pmgh.PmghBudgetError, match="1251 \\+ 1251"):
+            pmgh.pmgh_distance(A, A, R_grid=(1.0, 100.0))
+
+    @pytest.mark.parametrize("R", [0.0, -1.0, float("inf"), float("nan")])
+    def test_bad_radius_is_validation_error(self, R):
+        A = two_point(1.0)
+        with pytest.raises(ValueError, match="radius"):
+            pmgh.pmgh_distance(A, A, R_grid=(1.0, R))
 
 
 def test_free_flow_matches_max_flow_oracle():

@@ -7,6 +7,8 @@ import pytest
 from mmslab import cli, core, models, pmgh, tangent_lab as tl
 from mmslab.core import FiniteSpace, PointedSpace
 
+from oracles import leader_medoids
+
 
 def grid(dim, h, extent, shape="cube"):
     return models.make(models.ModelSpec("euclidean-grid", dim=dim, h=h,
@@ -57,7 +59,8 @@ class TestBlowup:
 
     def test_cone_apex_self_similarity(self):
         # blow-ups at the apex reproduce the cone at every scale: members of
-        # two samplings at matched relative resolution nearly coincide
+        # two samplings at matched relative resolution are isometric, so the
+        # exact measure gap leaves a distance of exactly 0
         coarse = models.make(models.ModelSpec("cone", angle=np.pi, h=0.04, extent=1.0))
         fine = models.make(models.ModelSpec("cone", angle=np.pi, h=0.02, extent=1.0))
         a = tl.blowup(coarse, [0.25], window=4.0).members[0]
@@ -65,7 +68,7 @@ class TestBlowup:
         assert a.usable and b.usable
         assert a.relative_resolution == pytest.approx(b.relative_resolution)
         est = pmgh.pmgh_distance(a.space, b.space, R_grid=(1, 2, 4), seed=1)
-        assert est.value <= 0.12
+        assert est.value == 0.0
 
 
 class TestMatchTangent:
@@ -179,6 +182,26 @@ class TestSplit:
         res = tl.split(ps, line)
         assert res.quotient.n == 1
         assert res.delta_metric <= 1e-6
+
+    def test_representatives_match_point_by_point_loop(self):
+        # a grid whose rows off the line are jittered and whose weights vary:
+        # quotient distances inside a cluster are positive, so the weight
+        # order picks the leaders and the medoids differ from them
+        ps = grid(2, 0.05, 1.0)
+        X = ps.space.coords
+        rng = np.random.default_rng(5)
+        off = X[:, 1] != X[ps.base, 1]
+        X = X + off[:, None] * rng.uniform(-0.01, 0.01, X.shape)
+        D = np.linalg.norm(X[:, None] - X[None, :], axis=2)
+        w = ps.space.weights * rng.uniform(0.5, 1.5, ps.n)
+        ps = PointedSpace(FiniteSpace(ps.space.points, D, w, resolution=0.05), ps.base)
+        line = tl.detect_line(ps, L=0.9, eps=0.01)
+        res = tl.split(ps, line)
+        idx = res.window_idx
+        slice_pos = np.flatnonzero(np.abs(res.b) <= 1.5 * max(0.05, line.step / 2.0))
+        reps = leader_medoids(D[np.ix_(idx, idx)], res.b, w[idx], slice_pos, 0.5 * 0.05)
+        assert len(reps) < len(slice_pos)
+        assert np.array_equal(res.rep_idx, idx[reps])
 
     def test_refuses_short_chain(self):
         ps = grid(2, 0.05, 1.0)
