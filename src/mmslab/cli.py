@@ -57,9 +57,6 @@ def _load_pointed(arg: str) -> core.PointedSpace:
 def _parse_measure(spec: str, ps: core.PointedSpace) -> np.ndarray:
     space = ps.space
     n = space.n
-    if spec == "uniform":
-        mu = np.where(space.weights > 0, space.weights, 0.0)
-        return mu / mu.sum()
     if spec.startswith("dirac:"):
         i = int(spec.split(":", 1)[1])
         if not 0 <= i < n:
@@ -67,30 +64,28 @@ def _parse_measure(spec: str, ps: core.PointedSpace) -> np.ndarray:
         mu = np.zeros(n)
         mu[i] = 1.0
         return mu
-    if spec.startswith("uniform-ball:"):
-        R = float(spec.split(":", 1)[1])
-        d = ps.base_distances()
-        mu = np.where((d < R) & (space.weights > 0), space.weights, 0.0)
-        return mu / mu.sum()
-    if spec.startswith(("left-half", "right-half")):
+    if spec == "uniform":
+        keep = np.ones(n, dtype=bool)
+    elif spec.startswith("uniform-ball:"):
+        keep = ps.base_distances() < float(spec.split(":", 1)[1])
+    elif spec.startswith(("left-half", "right-half")):
         if space.coords is None:
             raise ValueError("half-space measures need coordinates")
         axis = int(spec.split(":", 1)[1]) if ":" in spec else 0
         x = space.coords[:, axis]
-        center = x[ps.base]
-        side = x < center if spec.startswith("left") else x > center
-        mu = np.where(side & (space.weights > 0), space.weights, 0.0)
-        if mu.sum() <= 0:
-            raise ValueError(f"empty {spec} measure")
-        return mu / mu.sum()
-    if spec.endswith(".csv"):
-        vals = np.loadtxt(spec, delimiter=",")
-        return np.asarray(vals, dtype=float).reshape(n)
-    with open(spec) as fh:
-        obj = json.load(fh)
-    if isinstance(obj, dict):
-        obj = obj["weights"]
-    return np.asarray(obj, dtype=float).reshape(n)
+        keep = x < x[ps.base] if spec.startswith("left") else x > x[ps.base]
+    elif spec.endswith(".csv"):
+        return np.asarray(np.loadtxt(spec, delimiter=","), dtype=float).reshape(n)
+    else:
+        with open(spec) as fh:
+            obj = json.load(fh)
+        if isinstance(obj, dict):
+            obj = obj["weights"]
+        return np.asarray(obj, dtype=float).reshape(n)
+    mu = np.where(keep & (space.weights > 0), space.weights, 0.0)
+    if mu.sum() <= 0:
+        raise ValueError(f"the {spec} measure has no mass")
+    return mu / mu.sum()
 
 
 def _floats(text: str) -> tuple:

@@ -292,16 +292,18 @@ def cdstar_check(
 # Optimal-face vertex enumeration
 # ---------------------------------------------------------------------------
 
-def _tree_flows(nodes: list[int], edges: list[tuple[int, int]], demand: dict[int, float]) -> dict | None:
-    """Unique flow on a spanning tree meeting the demands, or None if negative."""
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in nodes}
+def _tree_flows(nodes: list[tuple], edges: list[tuple], demand: dict) -> dict | None:
+    """Unique flow on a spanning tree meeting the demands, keyed by (row,
+    column) index pairs and oriented row -> column, or None if a flow is
+    negative or the tree's demands do not balance."""
+    adj: dict = {v: [] for v in nodes}
     for k, (u, v) in enumerate(edges):
         adj[u].append((v, k))
         adj[v].append((u, k))
     need = dict(demand)
     deg = {v: len(adj[v]) for v in nodes}
     used = [False] * len(edges)
-    flows = [0.0] * len(edges)
+    flows: dict[tuple[int, int], float] = {}
     stack = [v for v in nodes if deg[v] == 1]
     while stack:
         leaf = stack.pop()
@@ -310,19 +312,20 @@ def _tree_flows(nodes: list[int], edges: list[tuple[int, int]], demand: dict[int
             continue
         other, k = edge
         used[k] = True
-        u, v = edges[k]
-        f = need[leaf]
-        flows[k] = f if leaf == u else -f
+        f = need[leaf]  # what the leaf sends to the other end
+        if leaf[0] == "r":
+            flows[leaf[1], other[1]] = f
+        else:
+            flows[other[1], leaf[1]] = -f
         need[leaf] = 0.0
         need[other] += f
         deg[leaf] -= 1
         deg[other] -= 1
         if deg[other] == 1:
             stack.append(other)
-    for k, f in enumerate(flows):
-        if f < -1e-12:
-            return None
-    return {edges[k]: max(f, 0.0) for k, f in enumerate(flows) if abs(f) > 0}
+    if any(f < -1e-12 for f in flows.values()) or any(abs(r) > 1e-9 for r in need.values()):
+        return None
+    return {e: max(f, 0.0) for e, f in flows.items() if abs(f) > 0}
 
 
 def enumerate_optimal_plans(space: FiniteSpace, mu0, mu1) -> list[Coupling]:
@@ -365,7 +368,6 @@ def enumerate_optimal_plans(space: FiniteSpace, mu0, mu1) -> list[Coupling]:
         for node in nodes:
             side, k = node
             demand[node] = a[k] if side == "r" else -b[k]
-        edges_all = list(sub.edges)
         sols: list[dict] = []
         seen: set = set()
         count = 0
@@ -382,26 +384,25 @@ def enumerate_optimal_plans(space: FiniteSpace, mu0, mu1) -> list[Coupling]:
                 continue
             seen.add(key)
             sols.append(flow)
+        if not sols:
+            raise RuntimeError(f"an optimal-face component of {len(nodes)} nodes "
+                               "carries no nonnegative tree flow")
         per_component.append(sols)
 
     total = 1
     for sols in per_component:
-        total *= max(len(sols), 1)
+        total *= len(sols)
         if total > 50_000:
             raise EnumerationBudgetError("vertex combination budget exceeded")
 
     plans: list[Coupling] = []
     from itertools import product as iproduct
 
-    for combo in iproduct(*[s or [{}] for s in per_component]):
+    for combo in iproduct(*per_component):
         gamma = np.zeros((len(rows), len(cols)))
         for flow in combo:
-            for (nu, nv), f in flow.items():
-                (su, ku), (sv, kv) = nu, nv
-                if su == "r":
-                    gamma[ku, kv] += f
-                else:
-                    gamma[kv, ku] += f
+            for (i, j), f in flow.items():
+                gamma[i, j] += f
         plans.append(Coupling(rows=rows, cols=cols, gamma=gamma, n=space.n))
     return plans
 

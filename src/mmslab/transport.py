@@ -4,11 +4,16 @@ Every exact transport solve in the lab goes through one kernel,
 ``transport_lp``: the transportation LP, optionally with teleportation
 slacks, solved with a dual-simplex backend (vertex-optimal, deterministic)
 and certified by dual feasibility over every column and the duality gap.
-With teleportation at cost T it solves the exact hub form of the capped
-LP (the thresholded ground distance of Pele and Werman, ICCV 2009): the
-capped arcs give way to one hub at T/2 in and T/2 out, with the same
-optimum since min(c, T) <= T/2 + T/2, and the certificate still checks
-all n0 * n1 capped arcs, so it proves the capped LP itself optimal.
+Between n equal masses on each side it is an assignment problem instead:
+every vertex of that polytope is a permutation (Birkhoff-von Neumann), so
+an optimal assignment (Crouse's shortest augmenting paths, IEEE TAES 2016)
+is an optimal vertex, and shortest paths give its duals; the same
+certificate checks them over all n * n arcs. With teleportation at cost T
+it solves the exact hub form of the capped LP (the thresholded ground
+distance of Pele and Werman, ICCV 2009): the capped arcs give way to one
+hub at T/2 in and T/2 out, with the same optimum since
+min(c, T) <= T/2 + T/2, and the certificate still checks all n0 * n1
+capped arcs, so it proves the capped LP itself optimal.
 An entropic solver provides the approximate route. Discrete displacement
 interpolation is delegated to an interpolation oracle that maps an
 (i, j, t) query to an existing point.
@@ -19,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
+from scipy.sparse.csgraph import NegativeCycleError, shortest_path
 
 from .core import FiniteSpace
 
@@ -50,6 +56,8 @@ def as_probability(space: FiniteSpace, mu) -> np.ndarray:
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (space.n,):
         raise MassMismatchError(f"measure has shape {mu.shape}, expected ({space.n},)")
+    if not np.isfinite(mu).all():
+        raise MassMismatchError("measure has non-finite entries")
     if (mu < 0).any():
         raise MassMismatchError("measure has negative entries")
     if abs(mu.sum() - 1.0) > 1e-12:
@@ -124,6 +132,13 @@ def transport_lp(
     for every pair; the returned plan spreads the hub flow over the pairs
     in proportion, a plan of the capped LP at that cost.
 
+    Without ``teleport``, when n0 == n1 and every entry of a and b equals
+    a[0], the LP is solved as an assignment problem (see ``_assignment``);
+    its vertex is exact, since every vertex is a permutation times a[0].
+    On lattice ties it may be another optimal vertex than the simplex
+    would return, at the same cost. If rounding on exact ties closes a
+    negative cycle in the dual shortest paths, the simplex solves it.
+
     Returns (gamma, cost, u, v, certificate): the plan, the optimal value,
     the row and column duals, and the certificate's ``min_reduced_cost``
     and ``duality_gap``. The reduced cost runs over every column of the
@@ -132,6 +147,10 @@ def transport_lp(
     Raises RuntimeError if the solve fails or the duals are infeasible.
     """
     n0, n1 = C.shape
+    if teleport is None and n0 == n1 and (a == a[0]).all() and (b == a[0]).all():
+        solved = _assignment(C, float(a[0]))
+        if solved is not None:
+            return solved
     if teleport is None:
         A_rows = sparse.kron(sparse.eye(n0), np.ones((1, n1)))
         A_cols = sparse.kron(np.ones((1, n0)), sparse.eye(n1))
@@ -176,11 +195,53 @@ def transport_lp(
         w = float(y[-1])
         other_red = min(T - max(u.max(), v.max()),
                         0.5 * T - float((u + w).max()), 0.5 * T - float((v - w).max()))
+    cost = float(res.fun)
+    return gamma, cost, u, v, _certificate(C, a, b, cost, u, v, other_red)
+
+
+def _certificate(C: np.ndarray, a: np.ndarray, b: np.ndarray, cost: float,
+                 u: np.ndarray, v: np.ndarray, other_red: float) -> dict:
+    """Least reduced cost over every arc (and ``other_red`` over the other
+    columns) and the duality gap; raises RuntimeError if the duals are
+    infeasible beyond rounding."""
     min_red = min(float((C - u[:, None] - v[None, :]).min()), other_red)
-    if min_red < -1e-7 * max(1.0, float(np.abs(c).max())):
+    if min_red < -1e-7 * max(1.0, float(np.abs(C).max())):
         raise RuntimeError(f"transport LP duals are infeasible: reduced cost {min_red:.3g}")
-    cert = {"min_reduced_cost": min_red, "duality_gap": abs(float(res.fun) - float(a @ u + b @ v))}
-    return gamma, float(res.fun), u, v, cert
+    return {"min_reduced_cost": min_red, "duality_gap": abs(cost - float(a @ u + b @ v))}
+
+
+def _assignment(C: np.ndarray, mass: float) -> tuple | None:
+    """Balanced LP of n equal masses on each side as an assignment problem.
+
+    Every vertex of this polytope is a permutation matrix times ``mass``
+    (Birkhoff-von Neumann), so an optimal assignment sigma is an optimal
+    vertex. The duals solve the difference constraints
+    v_j - v_sigma(i) <= C_ij - C_i,sigma(i), by Bellman-Ford shortest paths
+    from a virtual source, and u_i = C_i,sigma(i) - v_sigma(i). Rounding on
+    exact ties can close a negative cycle; then None, and the caller solves
+    the LP by simplex instead.
+    """
+    n = len(C)
+    rows, sigma = linear_sum_assignment(C)
+    tight = C[rows, sigma]
+    # node sigma(i) has an arc to every j at C_ij - C_i,sigma(i); node n is
+    # the source, with an arc of weight 0 to every node. Explicit zeros of
+    # a CSR graph are arcs, so the graph is built from its index arrays.
+    arcs = (C - tight[:, None])[np.argsort(sigma)]
+    graph = sparse.csr_matrix(
+        (np.concatenate([arcs.ravel(), np.zeros(n)]),
+         np.tile(np.arange(n), n + 1), np.arange(0, n * (n + 1) + 1, n)),
+        shape=(n + 1, n + 1))
+    try:
+        v = shortest_path(graph, method="BF", indices=n)[:n]
+    except NegativeCycleError:
+        return None
+    u = tight - v[sigma]
+    gamma = np.zeros((n, n))
+    gamma[rows, sigma] = mass
+    a = np.full(n, mass)
+    cost = float((mass * tight).sum())
+    return gamma, cost, u, v, _certificate(C, a, a, cost, u, v, np.inf)
 
 
 def _sinkhorn(C: np.ndarray, a: np.ndarray, b: np.ndarray,
@@ -230,7 +291,9 @@ def w2(
     """Quadratic transport between probability measures on ``space``.
 
     Exact mode solves ``transport_lp`` and returns its vertex-optimal plan
-    with the squared cost; ``W2Result.distance`` is its square root, and
+    with the squared cost: an optimal permutation when both measures are
+    uniform on equally many points, else the dual simplex's vertex.
+    ``W2Result.distance`` is its square root, and
     ``meta`` carries the duals ``u``, ``v`` with their dual certificate
     (``min_reduced_cost``, ``duality_gap``). Entropic mode runs log-domain
     matrix scaling at regularization ``reg`` (squared distance units),

@@ -4,9 +4,10 @@ Everything here is deliberately written against different algorithms (and
 mostly different libraries) than the package code paths it checks:
 lattice metrics come from numpy broadcasting instead of scipy's cdist,
 the cylinder metric from per-point coordinate differences, transport
-plans from spanning-tree vertex enumeration instead of the LP, the
-teleport LP in its dense form (every capped arc a column) instead of the
-hub form, the line's monotone coupling from a quantile sweep, distortion
+plans from spanning-tree vertex enumeration instead of the LP, optimal
+assignments by trying every permutation, the balanced LP by dense dual
+simplex instead of an assignment, the teleport LP in its dense form
+(every capped arc a column) instead of the hub form, the line's monotone coupling from a quantile sweep, distortion
 coefficients from 50-digit mpmath arithmetic, integrals from adaptive
 quadrature, graph metrics from networkx Dijkstra, relation flows from
 networkx's preflow-push instead of a min-cut enumeration, the split's
@@ -104,6 +105,15 @@ def _tree_flow(tree: nx.Graph, a, b, n0) -> dict | None:
     return out
 
 
+def optimal_permutations(cost: np.ndarray, tol: float = 1e-9) -> set[tuple[int, ...]]:
+    """Every permutation sigma of least total cost sum_i cost[i, sigma(i)]
+    (within tol), by trying all n! of them."""
+    n = len(cost)
+    perms = list(itertools.permutations(range(n)))
+    totals = np.array([cost[np.arange(n), list(p)].sum() for p in perms])
+    return {p for p, t in zip(perms, totals) if t <= totals.min() + tol}
+
+
 def monotone_cost_1d(x0, a, x1, b) -> float:
     """Quantile-coupling cost on the line, straight from the cdf crossing."""
     o0 = np.argsort(x0, kind="stable")
@@ -182,6 +192,19 @@ def dense_teleport_lp(C: np.ndarray, a: np.ndarray, b: np.ndarray, T: float) -> 
                   bounds=(0, None), method="highs")
     assert res.success, res.message
     return float(res.fun)
+
+
+def dense_w2_lp(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """Plan and optimum of the balanced transportation LP by dense dual
+    simplex: one column per arc, one row per row sum and per column sum
+    but the last."""
+    n0, n1 = C.shape
+    A_eq = sparse.vstack([sparse.kron(sparse.eye(n0), np.ones((1, n1))),
+                          sparse.kron(np.ones((1, n0)), sparse.eye(n1)).tocsr()[:-1]])
+    res = linprog(C.ravel(), A_eq=A_eq.tocsr(), b_eq=np.concatenate([a, b[:-1]]),
+                  bounds=(0, None), method="highs-ds")
+    assert res.success, res.message
+    return res.x.reshape(n0, n1), float(res.fun)
 
 
 def leader_medoids(Dw: np.ndarray, b: np.ndarray, ww: np.ndarray,

@@ -182,6 +182,15 @@ def test_validation_error_exit_code(tmp_path, point):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_massless_measure_exit_code(tmp_path, capsys):
+    # the empty ball once became 0/0 = NaN weights that failed inside the LP
+    code = run(["w2", "euclidean-grid:1d,h=0.1,extent=0.5", "--mu0", "uniform-ball:0",
+                "--mu1", "uniform", "--out", str(tmp_path)])
+    assert code == cli.EXIT_VALIDATION
+    assert "the uniform-ball:0 measure has no mass" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize("x0", ["-1", "11"])
 def test_prolong_center_out_of_range_exit_code(tmp_path, x0):
     code = run(["prolong", "euclidean-grid:1d,h=0.1,extent=0.5", "--x0", x0,

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from mmslab import cli, core, curvature, models, transport
 from mmslab.core import FiniteSpace, PointedSpace
 
-from oracles import sigma_hp
+from oracles import optimal_permutations, sigma_hp
 
 
 class TestSigma:
@@ -266,6 +266,37 @@ class TestEnumerateOptimalPlans:
         mu1 = np.array([0.0, 0.0, 0.4, 0.6])
         plans = curvature.enumerate_optimal_plans(sp, mu0, mu1)
         assert len(plans) == 1
+
+    @pytest.mark.parametrize("route", ["assignment", "simplex"])
+    def test_lattice_ties_match_permutation_oracle(self, monkeypatch, route):
+        # uniform equal-count measures on a 4x4 lattice: the vertices of the
+        # optimal face are the optimal permutations, and lattice distances
+        # tie; the duals of either route find them all
+        if route == "simplex":
+            monkeypatch.setattr(transport, "_assignment", lambda C, mass: None)
+        P = np.array([(i, j) for i in range(4) for j in range(4)], dtype=float)
+        D = np.linalg.norm(P[:, None] - P[None, :], axis=2)
+        sp = FiniteSpace(tuple(range(16)), D, np.ones(16))
+        rng = np.random.default_rng(12)
+        tied = 0
+        for _ in range(60):
+            n = int(rng.integers(2, 7))
+            rows = np.sort(rng.choice(16, n, replace=False))
+            cols = np.sort(rng.choice(16, n, replace=False))
+            mu0, mu1 = np.zeros(16), np.zeros(16)
+            mu0[rows] = mu1[cols] = 1.0 / n
+            plans = curvature.enumerate_optimal_plans(sp, mu0, mu1)
+            got = set()
+            for p in plans:
+                assert p.check_marginals(mu0, mu1)
+                i, j = np.nonzero(p.gamma > 1e-12)
+                assert np.array_equal(i, np.arange(n))
+                got.add(tuple(int(k) for k in j))
+            assert len(got) == len(plans)
+            expect = optimal_permutations(D[np.ix_(rows, cols)] ** 2)
+            assert got == expect
+            tied += len(expect) > 1
+        assert tied >= 20
 
     def test_size_guard(self):
         n = 14

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmslab import core, models, transport
+from mmslab import cli, core, models, transport
 from mmslab.core import FiniteSpace, PointedSpace
 
-from oracles import bruteforce_w2, monotone_1d, monotone_cost_1d, nx_shortest_path_matrix
+from oracles import (bruteforce_w2, dense_w2_lp, monotone_1d, monotone_cost_1d,
+                     nx_shortest_path_matrix)
 
 
 def line_space(n, h=1.0):
@@ -53,6 +54,13 @@ class TestW2Exact:
         sp = line_space(3)
         with pytest.raises(transport.MassMismatchError):
             transport.w2(sp, np.array([0.5, 0.5, 0.1]), np.full(3, 1 / 3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_measure_rejected(self, bad):
+        # NaN passes both the sign and the mass comparison
+        sp = line_space(3)
+        with pytest.raises(transport.MassMismatchError, match="non-finite"):
+            transport.w2(sp, np.array([bad, 0.5, 0.5]), np.full(3, 1 / 3))
 
     def test_vs_bruteforce_randomized(self):
         rng = np.random.default_rng(42)
@@ -216,6 +224,83 @@ class TestTransportLP:
         with pytest.raises(RuntimeError, match="infeasible"):
             transport.transport_lp(C, np.array([0.3, 0.7, 0.5]), np.array([0.6, 0.4]),
                                    teleport=1.0)
+
+
+def uniform_instances(rng):
+    """Cost matrices of uniform equal-count measures: subsets of a 2-D grid
+    (squared distances tie), jittered clouds, points of the lattice
+    (Z/3)^2 drawn with repeats, and one of those whose rounded arc
+    weights close a negative cycle."""
+    D = models.make(models.parse_spec("euclidean-grid:2d,h=0.1,extent=0.5")).space.metric
+    x = np.array([[1, 4], [4, -3], [-4, 3], [1, -4], [0, -1], [-3, -4]])
+    y = np.array([[-4, 4], [3, 4], [1, 2], [1, 4], [1, -3], [2, 1]])
+    yield (((x[:, None] - y[None]) / 3) ** 2).sum(axis=2)
+    for _ in range(12):
+        n = int(rng.integers(2, 41))
+        idx = rng.permutation(len(D))
+        yield D[np.ix_(idx[:n], idx[n:2 * n])] ** 2
+        n = int(rng.integers(2, 41))
+        pts = rng.random((2 * n, 2)) + rng.normal(scale=1e-3, size=(2 * n, 2))
+        yield np.linalg.norm(pts[:n, None] - pts[None, n:], axis=2) ** 2
+        n = int(rng.integers(2, 13))
+        x, y = rng.integers(-4, 5, (2, n, 2))
+        yield (((x[:, None] - y[None]) / 3) ** 2).sum(axis=2)
+
+
+class TestAssignmentRoute:
+    def test_matches_dense_lp_with_certificate(self, monkeypatch):
+        cycles = []
+        solve = transport.shortest_path
+
+        def counted(*args, **kwargs):
+            try:
+                return solve(*args, **kwargs)
+            except transport.NegativeCycleError:
+                cycles.append(args[0].shape)
+                raise
+
+        monkeypatch.setattr(transport, "shortest_path", counted)
+        for count, C in enumerate(uniform_instances(np.random.default_rng(41)), start=1):
+            n = len(C)
+            a = np.full(n, 1.0 / n)
+            gamma, cost, u, v, cert = transport.transport_lp(C, a, a)
+            assert cost == pytest.approx(dense_w2_lp(C, a, a)[1], abs=1e-9, rel=1e-9)
+            red = (C - u[:, None] - v[None, :]).min()
+            assert red >= -1e-9 and cert["min_reduced_cost"] == pytest.approx(red, abs=1e-12)
+            assert abs(cost - (a @ u + a @ v)) <= 1e-9 and cert["duality_gap"] <= 1e-9
+            perm = gamma > 0.5 / n
+            assert (perm.sum(axis=0) == 1).all() and (perm.sum(axis=1) == 1).all()
+            assert np.abs(gamma * n - perm).max() <= 1e-9
+        assert count >= 30
+        assert cycles, "no instance closed a negative cycle"
+
+    def test_shifted_dual_raises(self, monkeypatch):
+        solve = transport.shortest_path
+
+        def shifted(*args, **kwargs):
+            dist = solve(*args, **kwargs)
+            dist[0] += 10.0  # one column dual only
+            return dist
+
+        monkeypatch.setattr(transport, "shortest_path", shifted)
+        C = np.array([[0.0, 4.0, 1.0], [4.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        with pytest.raises(RuntimeError, match="infeasible"):
+            transport.transport_lp(C, np.full(3, 1 / 3), np.full(3, 1 / 3))
+
+    def test_cdstar_on_grid_halves_needs_no_simplex(self, monkeypatch):
+        # the CLI's half measures on a uniform grid take the assignment route
+        def no_simplex(*args, **kwargs):
+            raise AssertionError("the simplex ran")
+
+        monkeypatch.setattr(transport, "linprog", no_simplex)
+        ps = models.make(models.parse_spec("euclidean-grid:2d,h=0.1,extent=0.5"))
+        mu0 = cli._parse_measure("left-half", ps)
+        mu1 = cli._parse_measure("right-half", ps)
+        from mmslab import curvature
+
+        rep = curvature.cdstar_check(ps.space, mu0, mu1, K=0.0, N=2.0)
+        assert rep.verdict == "holds"
+        assert rep.plan_provenance["cost_squared"] == pytest.approx(0.36, rel=1e-12)
 
 
 class TestEntropic:
