@@ -41,7 +41,8 @@ _VALIDATION_ERRORS = (
     FileNotFoundError,
     KeyError,
 )
-_BUDGET_ERRORS = (pmgh.PmghBudgetError, curvature.EnumerationBudgetError)
+_BUDGET_ERRORS = (pmgh.PmghBudgetError, curvature.EnumerationBudgetError,
+                  models.ModelBudgetError)
 
 
 def _load_pointed(arg: str) -> core.PointedSpace:

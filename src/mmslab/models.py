@@ -16,7 +16,24 @@ from scipy.spatial.distance import cdist
 from .core import FiniteSpace, PointedSpace
 from .transport import Interpolator
 
-__all__ = ["ModelSpec", "GroundTruth", "make", "ground_truth", "KINDS", "parse_spec"]
+__all__ = ["ModelSpec", "GroundTruth", "ModelBudgetError", "make", "ground_truth", "KINDS",
+           "parse_spec"]
+
+# points per model space: its dense float64 metric takes n^2 * 8 bytes,
+# 1.8 GB at the limit
+MODEL_POINT_LIMIT = 15_000
+
+
+class ModelBudgetError(RuntimeError):
+    """The model space would hold more than MODEL_POINT_LIMIT points."""
+
+
+def _check_size(n: int) -> None:
+    """Refuse a model of n points before its n x n metric is allocated."""
+    if n > MODEL_POINT_LIMIT:
+        raise ModelBudgetError(
+            f"the model has {n} points, above the limit of {MODEL_POINT_LIMIT}; "
+            f"its metric would take {n * n * 8 / 1e9:.1f} GB")
 
 
 @dataclass(frozen=True)
@@ -297,6 +314,7 @@ def _lattice_space(coords: np.ndarray, h: float, p: float, weights: np.ndarray,
     """An h-lattice sample of the lp norm (p = inf is the max norm) with its
     snapping oracle, based at the point nearest the origin. Point ids default
     to the integer lattice indices."""
+    _check_size(len(coords))
     if points is None:
         points = _int_tuples(np.round(coords / h))
     space = FiniteSpace(
@@ -308,7 +326,10 @@ def _lattice_space(coords: np.ndarray, h: float, p: float, weights: np.ndarray,
 
 
 def make(spec: ModelSpec) -> PointedSpace:
-    """Build the model space; the interpolation oracle rides on the FiniteSpace."""
+    """Build the model space; the interpolation oracle rides on the FiniteSpace.
+
+    A model of more than MODEL_POINT_LIMIT points raises ModelBudgetError
+    (CLI exit 3) once its point count is known, before any n x n array."""
     if spec.kind == "euclidean-grid":
         coords = _lattice(spec.dim, spec.h, spec.extent, spec.shape)
         return _lattice_space(coords, spec.h, 2.0, np.full(len(coords), spec.h**spec.dim))
@@ -325,6 +346,7 @@ def make(spec: ModelSpec) -> PointedSpace:
         ss = np.arange(n_s) * hs
         Z, S = np.meshgrid(zs, ss, indexing="ij")
         coords = np.stack([Z.ravel(), S.ravel()], axis=1)
+        _check_size(len(coords))
         # axial and arc separations per pair of rows/rings, broadcast to the
         # (z, s) x (z, s) point pairs
         dz = np.abs(zs[:, None] - zs[None, :])
@@ -344,6 +366,7 @@ def make(spec: ModelSpec) -> PointedSpace:
 
     if spec.kind == "sphere":
         n = spec.n_points
+        _check_size(n)
         i = np.arange(n)
         z = 1.0 - 2.0 * (i + 0.5) / n
         phi = i * np.pi * (3.0 - np.sqrt(5.0))
@@ -373,6 +396,7 @@ def make(spec: ModelSpec) -> PointedSpace:
                 phis.append(spec.angle * j / n_k)
                 ws.append(spec.angle * r * spec.h / n_k)
         polar = np.stack([np.array(rs), np.array(phis)], axis=1)
+        _check_size(len(polar))
         rr = polar[:, 0]
         raw = np.abs(polar[:, 1][:, None] - polar[:, 1][None, :])  # < angle by construction
         dphi = np.minimum(raw, spec.angle - raw)
@@ -411,8 +435,9 @@ def make(spec: ModelSpec) -> PointedSpace:
         from scipy.sparse import coo_matrix
         from scipy.sparse.csgraph import connected_components, shortest_path
 
-        rng = np.random.default_rng(spec.seed)
         n = spec.n_points
+        _check_size(n)
+        rng = np.random.default_rng(spec.seed)
         pts = rng.random((n, 2))
         rad = spec.connect_radius
         diff = cdist(pts, pts)

@@ -3,6 +3,8 @@ import argparse
 import inspect
 import json
 import re
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -84,7 +86,7 @@ def test_ghdist_anneal_golden(tmp_path, capsys):
     assert code == 0
     report = strict_report(tmp_path)
     assert report["value"] == pytest.approx(0.7736747530582685, abs=1e-12)
-    assert [len(c) for c in report["certificates"]] == [9, 46, 51]
+    assert [len(c) for c in report["certificates"]] == [9, 50, 54]
     assert_golden(tmp_path, "ghdist_anneal")
 
 
@@ -218,6 +220,22 @@ def test_ghdist_ball_size_limit_fails_fast(tmp_path, monkeypatch, capsys):
                 "--normalize", "--out", str(tmp_path)])
     assert code == cli.EXIT_BUDGET
     assert "1681 + 1681" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_model_size_limit_fails_fast(tmp_path, capsys):
+    # 25,050 points, whose metric would take 5 GB: refused before it exists
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code = run(["dimension", "cylinder:c=1,L=10,h=0.02", "--N", "2", "--out", str(tmp_path)])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_BUDGET
+    assert elapsed < 1.0 and peak < 50e6
+    assert "the model has 25050 points" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
 
 

@@ -225,3 +225,28 @@ def test_invalid_parameters_rejected():
         ModelSpec("euclidean-grid", h=-0.1)
     with pytest.raises(ValueError):
         ModelSpec("euclidean-grid", extent=0.0)
+
+
+@pytest.mark.parametrize("text", [
+    "euclidean-grid:2d,h=0.01",
+    "lp-plane:p=1,h=0.01",
+    "sphere:N=20000",
+    "cone:h=0.02,extent=1.8",
+    "cylinder:c=1,L=10,h=0.02",
+    "weighted-segment:h=0.0001",
+    "graph:N=20000",
+], ids=lambda t: t.split(":")[0])
+def test_point_limit_refuses_before_the_metric(text):
+    # every kind counts its points before any n x n array: each of these
+    # models is above the limit, and the refusal allocates well under the
+    # 3.2 GB that the smallest of their metrics would take
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(models.ModelBudgetError, match="points, above the limit of 15000"):
+            make(parse_spec(text))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6

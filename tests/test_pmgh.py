@@ -227,15 +227,19 @@ def random_covering(rng, na, nb, base_a, base_b):
     return np.unique(np.stack([xs, ys], axis=1), axis=0)
 
 
-def seeded_grid_ball(rng, spec, R):
-    """Ball of a model grid carrying the density 1 + 0.3 sin(<k, x> + phi)
-    with a random wave vector and phase, as the benchmark's ghdist source."""
+def seeded_grid(rng, spec):
+    """A model grid carrying the density 1 + 0.3 sin(<k, x> + phi) with a
+    random wave vector and phase, as the benchmark's ghdist source."""
     ps = models.make(models.parse_spec(spec))
     X = ps.space.coords
     k = rng.normal(size=X.shape[1])
     k *= rng.uniform(0.5, 1.5) / np.linalg.norm(k)
     w = ps.space.weights * (1.0 + 0.3 * np.sin(X @ k + rng.uniform(0.0, 2.0 * np.pi)))
-    return _ball(PointedSpace(FiniteSpace(ps.space.points, ps.space.metric, w), ps.base), R)
+    return PointedSpace(FiniteSpace(ps.space.points, ps.space.metric, w), ps.base)
+
+
+def seeded_grid_ball(rng, spec, R):
+    return _ball(seeded_grid(rng, spec), R)
 
 
 class TestGapAgainstDenseOracle:
@@ -275,6 +279,149 @@ class TestGapAgainstDenseOracle:
             ball_b = seeded_grid_ball(rng, spec_b, R)
             na, nb = len(ball_a.w), len(ball_b.w)
             self.check(ball_a, ball_b, random_covering(rng, na, nb, ball_a.base, ball_b.base))
+
+
+def random_pointed(rng, n, scale, mass):
+    """Random plane cloud with its metric scaled and its weights summing to mass."""
+    D, w = random_euclidean_space(rng, n)
+    return PointedSpace(FiniteSpace(tuple(range(n)), D * scale, w * mass / w.sum()),
+                        int(rng.integers(n)))
+
+
+def random_pair(rng, na, nb):
+    """Pointed clouds of comparable scale whose masses agree in half the cases."""
+    mass = rng.uniform(0.5, 4.0)
+    return (random_pointed(rng, na, rng.uniform(0.3, 3.0), mass),
+            random_pointed(rng, nb, rng.uniform(0.3, 3.0),
+                           mass * (1.0 if rng.random() < 0.5 else rng.uniform(0.5, 2.0))))
+
+
+class TestLowerBound:
+    """The relation-free bound is at most distortion + gap of every relation
+    the search returns, on tiny balls (exact) and anneal-sized ones."""
+
+    def test_hausdorff_1d_matches_all_pairs(self):
+        rng = np.random.default_rng(50)
+        for _ in range(100):
+            a = rng.normal(size=int(rng.integers(1, 12)))
+            b = rng.normal(size=int(rng.integers(1, 12)))
+            gaps = np.abs(a[:, None] - b[None, :])
+            expect = max(gaps.min(axis=1).max(), gaps.min(axis=0).max())
+            assert pmgh._hausdorff_1d(a, b) == expect
+
+    def test_below_exhaustive_infimum(self):
+        rng = np.random.default_rng(51)
+        bites = 0
+        for seed in range(60):
+            na = int(rng.integers(1, 5))
+            A, B = random_pair(rng, na, int(rng.integers(1, 9 - na)))
+            ball_a, ball_b = _ball(A, 100.0), _ball(B, 100.0)
+            bound = pmgh._lower_bound(ball_a, ball_b)
+            upper = pmgh._anneal_radius(ball_a, ball_b, seed, proposals=500, restarts=1)
+            loc = pmgh._exhaustive_radius(ball_a, ball_b, upper, 0.0)
+            assert bound <= sum(pmgh._evaluate(ball_a, ball_b, loc)) + 1e-9
+            mass_part = abs(ball_a.w.sum() - ball_b.w.sum()) * pmgh.TELEPORT_COST
+            bites += bound > mass_part + 1e-3
+        assert bites >= 20  # the distortion half of the bound is exercised
+
+    def test_below_anneal_certificates(self):
+        rng = np.random.default_rng(52)
+        for seed in range(20):
+            A, B = random_pair(rng, int(rng.integers(8, 30)), int(rng.integers(8, 30)))
+            R = float(rng.uniform(0.5, 3.0))
+            ball_a, ball_b = _ball(A, R), _ball(B, R)
+            bound = pmgh._lower_bound(ball_a, ball_b)
+            loc = pmgh._anneal_radius(ball_a, ball_b, seed, proposals=2000, restarts=1)
+            assert bound <= sum(pmgh._evaluate(ball_a, ball_b, loc)) + 1e-9
+
+    def test_exhaustive_stops_at_the_bound(self, monkeypatch):
+        # B is A with 1.5 times the mass: the identity relation attains the
+        # bound (distortion 0, gap = the mass difference), so once the seed
+        # relation reaches it no node past the first is needed
+        D = np.array([[0.0, 0.25, 0.5, 0.75], [0.25, 0.0, 0.25, 0.5],
+                      [0.5, 0.25, 0.0, 0.25], [0.75, 0.5, 0.25, 0.0]])
+        A = PointedSpace(FiniteSpace((0, 1, 2, 3), D, np.full(4, 0.125)), 1)
+        B = PointedSpace(FiniteSpace((0, 1, 2, 3), D, np.full(4, 0.1875)), 1)
+        ball_a, ball_b = _ball(A, 2.0), _ball(B, 2.0)
+        bound = pmgh._lower_bound(ball_a, ball_b)
+        assert bound == 0.25
+        seed_pairs = np.stack([np.arange(4), np.arange(4)], axis=1)
+        searched = pmgh._exhaustive_radius(ball_a, ball_b, seed_pairs, 0.0)
+        monkeypatch.setattr(pmgh, "EXHAUSTIVE_BUDGET", 1)
+        stopped = pmgh._exhaustive_radius(ball_a, ball_b, seed_pairs, bound)
+        assert np.array_equal(stopped, searched)
+        with pytest.raises(pmgh.PmghBudgetError):
+            pmgh._exhaustive_radius(ball_a, ball_b, seed_pairs, 0.0)
+
+
+class TestSaturatedRadii:
+    """A radius whose bound passes 1 is not searched; its term is 1 either way."""
+
+    @staticmethod
+    def no_bound(monkeypatch):
+        monkeypatch.setattr(pmgh, "_lower_bound", lambda ball_a, ball_b: 0.0)
+
+    @pytest.mark.parametrize("mode", ["anneal", "exhaustive"])
+    def test_skip_agrees_with_search(self, monkeypatch, mode):
+        rng = np.random.default_rng(53 if mode == "anneal" else 54)
+        cases = []
+        for seed in range(20):
+            if mode == "exhaustive":
+                na = int(rng.integers(1, 6))
+                sizes = (na, int(rng.integers(1, 10 - na)))
+            else:
+                sizes = tuple(int(n) for n in rng.integers(4, 20, size=2))
+            cases.append((*random_pair(rng, *sizes), seed))
+        kw = dict(mode=mode, proposals=1000, restarts=1)
+        skipping = [pmgh.pmgh_distance(A, B, seed=seed, **kw) for A, B, seed in cases]
+        self.no_bound(monkeypatch)
+        searched = [pmgh.pmgh_distance(A, B, seed=seed, **kw) for A, B, seed in cases]
+        saturated = 0
+        for fast, slow in zip(skipping, searched):
+            assert fast.value == slow.value
+            assert [t.term for t in fast.per_radius] == [t.term for t in slow.per_radius]
+            saturated += sum(t.lower_bound == 1.0 for t in fast.per_radius)
+        assert saturated >= 10
+
+    @pytest.mark.parametrize("target", ["euclidean-grid:1d,h=0.6,extent=3.5",
+                                        "euclidean-grid:2d,h=0.6,extent=3.5,shape=ball",
+                                        "euclidean-grid:3d,h=0.9,extent=3.5,shape=ball"],
+                             ids=["R1", "R2", "R3"])
+    def test_skip_agrees_on_seeded_grid_ball(self, monkeypatch, target):
+        A = tangent_lab.normalize_window(
+            seeded_grid(np.random.default_rng(55), "euclidean-grid:2d,h=0.5,extent=3.5,shape=ball"),
+            3.0)
+        B = tangent_lab.normalize_window(models.make(models.parse_spec(target)), 3.0)
+        kw = dict(R_grid=(1.0, 2.0, 3.0), seed=55, proposals=2000, restarts=1)
+        fast = pmgh.pmgh_distance(A, B, **kw)
+        assert any(t.lower_bound == 1.0 for t in fast.per_radius)
+        self.no_bound(monkeypatch)
+        slow = pmgh.pmgh_distance(A, B, **kw)
+        assert fast.value == slow.value
+        assert [t.term for t in fast.per_radius] == [t.term for t in slow.per_radius]
+
+    @pytest.mark.parametrize("mode", ["anneal", "exhaustive"])
+    def test_saturated_terms_skip_search_and_certify(self, monkeypatch, mode):
+        def no_search(*args, **kwargs):
+            raise AssertionError("a saturated radius must not be searched")
+
+        monkeypatch.setattr(pmgh, "_anneal_radius", no_search)
+        monkeypatch.setattr(pmgh, "_exhaustive_radius", no_search)
+        # the same grid with three times the weight: the masses differ by
+        # more than 1 at every radius
+        h, extent = (0.25, 2.0) if mode == "anneal" else (0.6, 1.0)
+        A = models.make(models.ModelSpec("euclidean-grid", dim=1, h=h, extent=extent))
+        B = PointedSpace(FiniteSpace(A.space.points, A.space.metric, 3.0 * A.space.weights),
+                         A.base)
+        est = pmgh.pmgh_distance(A, B, R_grid=(1.0, 2.0, 4.0), mode=mode)
+        assert est.value == sum(t.weight for t in est.per_radius)
+        assert est.lower_bound == est.value
+        for term, cert in zip(est.per_radius, est.certificates):
+            dist = pmgh.distortion(A, B, cert, term.radius)
+            gap = pmgh.measure_gap(A, B, cert, term.radius)
+            assert (dist, gap) == (term.distortion, term.measure_gap)
+            assert term.term == 1.0 == min(1.0, dist + gap)
+            assert term.lower_bound == 1.0
 
 
 class TestFailFast:
