@@ -28,12 +28,14 @@ class ModelBudgetError(RuntimeError):
     """The model space would hold more than MODEL_POINT_LIMIT points."""
 
 
-def _check_size(n: int) -> None:
-    """Refuse a model of n points before its n x n metric is allocated."""
+def _check_size(n: int, exact: bool = True) -> None:
+    """Refuse a model of n points (at least n unless ``exact``) before its
+    n x n metric is allocated."""
     if n > MODEL_POINT_LIMIT:
+        least = "" if exact else "at least "
         raise ModelBudgetError(
-            f"the model has {n} points, above the limit of {MODEL_POINT_LIMIT}; "
-            f"its metric would take {n * n * 8 / 1e9:.1f} GB")
+            f"the model has {least}{n} points, above the limit of {MODEL_POINT_LIMIT}; "
+            f"its metric would take {least}{n * n * 8 / 1e9:.1f} GB")
 
 
 @dataclass(frozen=True)
@@ -296,6 +298,9 @@ class GraphInterpolator(Interpolator):
 
 def _lattice(dim: int, h: float, extent: float, shape: str) -> np.ndarray:
     k = int(np.floor(extent / h + 1e-9))
+    # refuse before the meshgrid; a ball holds at least its inscribed cube
+    inner = k if shape == "cube" else int(np.floor(extent / (h * np.sqrt(dim))))
+    _check_size((2 * inner + 1) ** dim, exact=shape == "cube")
     axis = np.arange(-k, k + 1) * h
     grids = np.meshgrid(*([axis] * dim), indexing="ij")
     coords = np.stack([g.ravel() for g in grids], axis=1)
@@ -386,17 +391,15 @@ def make(spec: ModelSpec) -> PointedSpace:
         return PointedSpace(space, 0)
 
     if spec.kind == "cone":
+        # the apex, then ring k at radius k h with n_k evenly spaced points
         rings = int(np.floor(spec.extent / spec.h + 1e-9))
-        rs, phis, ws = [0.0], [0.0], [spec.angle * spec.h**2 / 8]
-        for k in range(1, rings + 1):
-            r = k * spec.h
-            n_k = max(3, int(round(spec.angle * r / spec.h)))
-            for j in range(n_k):
-                rs.append(r)
-                phis.append(spec.angle * j / n_k)
-                ws.append(spec.angle * r * spec.h / n_k)
-        polar = np.stack([np.array(rs), np.array(phis)], axis=1)
-        _check_size(len(polar))
+        r_k = np.arange(1, rings + 1) * spec.h
+        n_k = np.maximum(3, np.rint(spec.angle * r_k / spec.h).astype(np.int64))
+        _check_size(1 + int(n_k.sum()))
+        r, n_r = np.repeat(r_k, n_k), np.repeat(n_k, n_k)
+        j = np.arange(len(r)) - np.repeat(np.cumsum(n_k) - n_k, n_k)
+        polar = np.stack([np.r_[0.0, r], np.r_[0.0, spec.angle * j / n_r]], axis=1)
+        ws = np.r_[spec.angle * spec.h**2 / 8, spec.angle * r * spec.h / n_r]
         rr = polar[:, 0]
         raw = np.abs(polar[:, 1][:, None] - polar[:, 1][None, :])  # < angle by construction
         dphi = np.minimum(raw, spec.angle - raw)
@@ -411,7 +414,7 @@ def make(spec: ModelSpec) -> PointedSpace:
         interp = ConeInterpolator(polar, spec.angle, metric, eps_geo=2.0 * spec.h)
         space = FiniteSpace(
             points=_int_tuples(np.round(polar / spec.h * 8)),
-            metric=metric, weights=np.array(ws), coords=polar,
+            metric=metric, weights=ws, coords=polar,
             interpolator=interp, resolution=spec.h,
         )
         return PointedSpace(space, 0)  # apex at the basepoint

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .core import FiniteSpace, PointedSpace, ball_restrict, normalize_at, rescale
 from .pmgh import TELEPORT_COST, convergence_diagnostic, pmgh_distance
@@ -91,7 +92,10 @@ def blowup(
     members = []
     for r in radii:
         nps, c = normalize_at(ps, r)
-        member = ball_restrict(rescale(nps, r), window, mode="closed")
+        # window first, by the same product d * (1/r) that rescale forms, then
+        # rescale only the window
+        idx = np.flatnonzero(nps.base_distances() * (1.0 / r) <= window)
+        member = rescale(PointedSpace(nps.space.subset(idx), int(np.searchsorted(idx, ps.base))), r)
         rel = h / r
         warning = None
         usable = True
@@ -395,8 +399,11 @@ def _foot_parameters(D2_chain: np.ndarray, params: np.ndarray) -> np.ndarray:
     return out
 
 
-_FIBER_SAMPLE = 48     # points per fiber in the quotient-metric average
-_ROW_BLOCK = 32        # rows per block of the exact metric defect (cache-sized)
+_ROW_BLOCK = 32   # rows per block of the n x n passes over the window (cache-sized)
+
+
+def _row_blocks(n: int):
+    return (slice(lo, lo + _ROW_BLOCK) for lo in range(0, n, _ROW_BLOCK))
 
 
 def _quotient_sq(Dw: np.ndarray, b: np.ndarray, I, J) -> np.ndarray:
@@ -412,10 +419,10 @@ def split(ps: PointedSpace, line: LineCandidate, window: float | None = None) ->
     Computes a Busemann-type coordinate b from the chain (foot-point
     parameter, exact on products), slices the central level set
     |b| <= 1.5 max(h, step/2) into representatives (points whose quotient
-    distance is within h/2 merge), averages the quotient metric
-    d'(p,q)^2 = max(0, d^2 - (b-b)^2) over up to 48 evenly strided points
-    of each fiber pair, and pushes the measure forward with per-fiber
-    extent normalization. ``delta_metric`` is the exact maximum over all
+    distance is within h/2 merge), assigns every windowed point to the fiber
+    of its nearest representative, takes d'^2 of two fibers as the
+    mass-weighted mean of max(0, d^2 - (b-b)^2) over all their point pairs,
+    and pushes the measure forward with per-fiber extent normalization. ``delta_metric`` is the exact maximum over all
     pairs of windowed points of |d^2 - (b-b)^2 - d'^2|^(1/2); both defects
     are reported, and the split refuses windows the chain does not dominate.
     """
@@ -469,35 +476,25 @@ def split(ps: PointedSpace, line: LineCandidate, window: float | None = None) ->
     # assign every windowed point to its nearest representative fiber
     assign = np.argmin(np.maximum(_quotient_sq(Dw, b, slice(None), reps_arr), 0.0), axis=1)
 
-    M = len(reps_arr)
-    dprime2 = np.zeros((M, M))
-    fibers = [np.flatnonzero(assign == k) for k in range(M)]
-    samples = []
-    for f in fibers:
-        if len(f) > _FIBER_SAMPLE:
-            f = f[::len(f) // _FIBER_SAMPLE][:_FIBER_SAMPLE]
-        samples.append(f)
-    for a in range(M):
-        fa = samples[a]
-        if fa.size == 0:
-            continue
-        for c in range(a + 1, M):
-            fc = samples[c]
-            if fc.size == 0:
-                continue
-            block = np.maximum(_quotient_sq(Dw, b, fa, fc), 0.0)
-            wts = np.outer(ww[fa], ww[fc])
-            dprime2[a, c] = dprime2[c, a] = float((block * wts).sum() / wts.sum())
-    dprime = np.sqrt(np.maximum(dprime2, 0.0))
+    # d'^2 of two fibers: the ww-weighted mean of max(0, d^2 - (b - b)^2) over
+    # all their point pairs, W Q W^T / (m m^T) with W[assign[x], x] = ww[x],
+    # summed over row blocks of Q so that Q is never formed whole
+    n, M = len(idx), len(reps_arr)
+    W = csr_matrix((ww, (assign, np.arange(n))), shape=(M, n))
+    num = np.zeros((M, M))
+    for r in _row_blocks(n):
+        num += W[:, r] @ (W @ np.maximum(_quotient_sq(Dw, b, r, slice(None)), 0.0).T).T
+    mass = np.bincount(assign, weights=ww, minlength=M)
+    den = np.outer(mass, mass)
+    dprime = np.triu(np.sqrt(np.divide(num, den, out=np.zeros((M, M)), where=den > 0)), 1)
+    dprime += dprime.T
 
-    # pushforward weights with per-fiber extent normalization
-    wq = np.zeros(M)
-    for k, f in enumerate(fibers):
-        if f.size == 0:
-            wq[k] = 0.0
-            continue
-        extent = float(b[f].max() - b[f].min()) + max(h, step)
-        wq[k] = float(ww[f].sum()) / extent
+    # pushforward weights with per-fiber extent normalization; an empty
+    # fiber keeps weight 0
+    lo, hi = np.full(M, np.inf), np.full(M, -np.inf)
+    np.minimum.at(lo, assign, b)
+    np.maximum.at(hi, assign, b)
+    wq = np.divide(mass, hi - lo + max(h, step), out=np.zeros(M), where=hi >= lo)
 
     q_points = tuple(space.points[idx[r]] for r in reps_arr)
     quotient_space = FiniteSpace(points=q_points, metric=dprime, weights=wq,
@@ -507,7 +504,7 @@ def split(ps: PointedSpace, line: LineCandidate, window: float | None = None) ->
     # metric defect: exact maximum over all pairs, one block of rows at a time
     q2 = (dprime ** 2)[assign]
     resid = max(float(np.abs(_quotient_sq(Dw, b, r, slice(None)) - q2[r][:, assign]).max())
-                for r in (slice(lo, lo + _ROW_BLOCK) for lo in range(0, len(idx), _ROW_BLOCK)))
+                for r in _row_blocks(n))
     delta_metric = float(np.sqrt(resid))
 
     delta_measure = _product_measure_defect(
@@ -541,16 +538,14 @@ def _product_measure_defect(b, ww, assign, dprime, wq, base_rep, window) -> floa
     n_groups = int(groups.max()) + 1
 
     actual = np.zeros((n_groups, n_bins))
-    product = np.zeros((n_groups, n_bins))
-    for i, k in enumerate(keep):
-        product[groups[i], :] += wq[k] * binwidth
+    product = np.repeat(np.bincount(groups, wq[keep] * binwidth)[:, None], n_bins, axis=1)
     inside = (np.abs(b) <= box) & np.isin(assign, keep)
     pos = np.searchsorted(keep, assign[inside])
     which = np.clip(np.searchsorted(edges, b[inside], side="right") - 1, 0, n_bins - 1)
     np.add.at(actual, (groups[pos], which), ww[inside])
 
     # cell metric: quotient distance between group medoids + b-bin offset
-    reps_of_group = [keep[np.flatnonzero(groups == g)[0]] for g in range(n_groups)]
+    reps_of_group = keep[np.searchsorted(groups, np.arange(n_groups))]
     gm = dprime[np.ix_(reps_of_group, reps_of_group)]
     cell_d = np.sqrt(gm[:, :, None, None] ** 2
                      + (centers[None, None, :, None] - centers[None, None, None, :]) ** 2)

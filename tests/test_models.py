@@ -235,11 +235,14 @@ def test_invalid_parameters_rejected():
     "cylinder:c=1,L=10,h=0.02",
     "weighted-segment:h=0.0001",
     "graph:N=20000",
+    pytest.param("euclidean-grid:3d,h=0.01,shape=ball", id="euclidean-grid-3d-ball"),
+    pytest.param("cone:h=0.001", id="cone-fine"),
 ], ids=lambda t: t.split(":")[0])
 def test_point_limit_refuses_before_the_metric(text):
-    # every kind counts its points before any n x n array: each of these
-    # models is above the limit, and the refusal allocates well under the
-    # 3.2 GB that the smallest of their metrics would take
+    # every kind counts its points before any n x n array, and the lattices
+    # and cone rings before their coordinates: each of these models is above
+    # the limit, and the refusal allocates well under the 3.2 GB that the
+    # smallest of their metrics would take
     import tracemalloc
 
     tracemalloc.start()

@@ -7,12 +7,25 @@ import pytest
 from mmslab import cli, core, models, pmgh, tangent_lab as tl
 from mmslab.core import FiniteSpace, PointedSpace
 
-from oracles import leader_medoids
+from oracles import fiber_pair_mean, leader_medoids
 
 
 def grid(dim, h, extent, shape="cube"):
     return models.make(models.ModelSpec("euclidean-grid", dim=dim, h=h,
                                         extent=extent, shape=shape))
+
+
+def jittered_grid(extent):
+    """The 2-D h=0.05 grid with the rows off the base's jittered and the
+    weights varied: quotient distances inside a fiber are positive."""
+    ps = grid(2, 0.05, extent)
+    X = ps.space.coords
+    rng = np.random.default_rng(5)
+    off = X[:, 1] != X[ps.base, 1]
+    X = X + off[:, None] * rng.uniform(-0.01, 0.01, X.shape)
+    D = np.linalg.norm(X[:, None] - X[None, :], axis=2)
+    w = ps.space.weights * rng.uniform(0.5, 1.5, ps.n)
+    return PointedSpace(FiniteSpace(ps.space.points, D, w, resolution=0.05), ps.base)
 
 
 class TestBlowup:
@@ -56,6 +69,22 @@ class TestBlowup:
                 grid(2, m.relative_resolution, 4.5, shape="ball"), 4.0)
             est = pmgh.pmgh_distance(m.space, model, R_grid=(1, 2, 4), seed=0)
             assert est.value <= 0.02
+
+    @pytest.mark.parametrize("space, radii", [
+        (("euclidean-grid", dict(dim=2, h=0.1, extent=3.0, shape="ball")), (1.0, 0.7, 0.3)),
+        (("cone", dict(h=0.04, extent=1.0)), (0.9, 0.37, 0.21)),
+    ], ids=["grid", "cone"])
+    def test_window_before_rescaling_keeps_members(self, space, radii):
+        # the member is the closed window of the rescaled, normalized space,
+        # bit for bit, though only the window is rescaled
+        ps = models.make(models.ModelSpec(space[0], **space[1]))
+        for r, m in zip(radii, tl.blowup(ps, radii, window=4.0).members):
+            ref = core.ball_restrict(core.rescale(core.normalize_at(ps, r)[0], r), 4.0, "closed")
+            assert m.space.base == ref.base
+            got, want = m.space.space, ref.space
+            assert got.points == want.points and got.resolution == want.resolution
+            for name in ("metric", "weights", "coords"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
     def test_cone_apex_self_similarity(self):
         # blow-ups at the apex reproduce the cone at every scale: members of
@@ -184,17 +213,10 @@ class TestSplit:
         assert res.delta_metric <= 1e-6
 
     def test_representatives_match_point_by_point_loop(self):
-        # a grid whose rows off the line are jittered and whose weights vary:
         # quotient distances inside a cluster are positive, so the weight
         # order picks the leaders and the medoids differ from them
-        ps = grid(2, 0.05, 1.0)
-        X = ps.space.coords
-        rng = np.random.default_rng(5)
-        off = X[:, 1] != X[ps.base, 1]
-        X = X + off[:, None] * rng.uniform(-0.01, 0.01, X.shape)
-        D = np.linalg.norm(X[:, None] - X[None, :], axis=2)
-        w = ps.space.weights * rng.uniform(0.5, 1.5, ps.n)
-        ps = PointedSpace(FiniteSpace(ps.space.points, D, w, resolution=0.05), ps.base)
+        ps = jittered_grid(1.0)
+        D, w = ps.space.metric, ps.space.weights
         line = tl.detect_line(ps, L=0.9, eps=0.01)
         res = tl.split(ps, line)
         idx = res.window_idx
@@ -202,6 +224,20 @@ class TestSplit:
         reps = leader_medoids(D[np.ix_(idx, idx)], res.b, w[idx], slice_pos, 0.5 * 0.05)
         assert len(reps) < len(slice_pos)
         assert np.array_equal(res.rep_idx, idx[reps])
+
+    def test_quotient_metric_is_the_fiber_pair_mean(self):
+        # d' averages over all point pairs of two fibers; 23 of the 53 fibers
+        # here hold more than 48 points
+        ps = jittered_grid(1.5)
+        line = tl.detect_line(ps, L=1.35, eps=0.01)
+        res = tl.split(ps, line)
+        idx = res.window_idx
+        assert (np.bincount(res.assignment) > 48).sum() >= 20
+        expect = fiber_pair_mean(ps.space.metric[np.ix_(idx, idx)], res.b,
+                                 ps.space.weights[idx], res.assignment)
+        got = res.quotient.space.metric
+        assert np.array_equal(got, got.T) and not np.diag(got).any()
+        assert np.abs(got - expect).max() <= 1e-12
 
     def test_refuses_short_chain(self):
         ps = grid(2, 0.05, 1.0)
