@@ -111,9 +111,7 @@ class FiniteSpace:
     def subset(self, idx: np.ndarray) -> "FiniteSpace":
         """Restriction to ``idx`` with the ambient (restricted-matrix) metric."""
         idx = np.asarray(idx, dtype=int)
-        interp = self.interpolator
-        if interp is not None and hasattr(interp, "restrict"):
-            interp = interp.restrict(idx)
+        interp = None if self.interpolator is None else self.interpolator.restrict(idx)
         return FiniteSpace(
             points=tuple(self.points[i] for i in idx),
             metric=self.metric[np.ix_(idx, idx)],
@@ -346,8 +344,8 @@ def doubling_profile(
     profiled radii, C being the envelope.
     """
     radii = np.asarray(sorted(radii), dtype=float)
-    if radii.size == 0 or radii[0] <= 0:
-        raise ValueError("radii must be positive and non-empty")
+    if radii.size == 0 or not (radii[0] > 0 and np.isfinite(radii).all()):
+        raise ValueError("radii must be positive, finite and non-empty")
     supp = space.support
     if isinstance(centers, str):
         if centers not in ("auto", "all"):

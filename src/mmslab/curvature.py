@@ -58,10 +58,12 @@ def sigma_vec(K: float, N: float, t: float, theta: np.ndarray) -> np.ndarray:
 
     Four cases: +inf when K*theta^2 >= N*pi^2; sin-ratio on the positive
     finite branch; t when K*theta^2 = 0; sinh-ratio when K*theta^2 < 0.
-    Raises ValueError unless N >= 1, 0 <= t <= 1 and theta >= 0.
+    Raises ValueError unless K is finite, N >= 1, 0 <= t <= 1 and theta >= 0.
     """
     theta = np.asarray(theta, dtype=float)
-    if N < 1:
+    if not math.isfinite(K):
+        raise ValueError("K must be finite")
+    if not N >= 1:
         raise ValueError("N must be >= 1")
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
@@ -108,7 +110,7 @@ def renyi_energy(mu: np.ndarray, space: FiniteSpace, nprime: float) -> RenyiEner
     only the density part enters the integral, the singular mass is
     reported untouched.
     """
-    if nprime < 1:
+    if not nprime >= 1:
         raise ValueError("N' must be >= 1")
     mu = np.asarray(mu, dtype=float)
     w = space.weights
@@ -224,7 +226,8 @@ def cdstar_check(
     Builds the optimal coupling and its lift along the space's oracle, then
     compares the Renyi energy of each interpolated measure (LHS) against the
     sigma-weighted marginal-density integral (RHS); slack = RHS - LHS must
-    stay above -tol (default 5 * declared resolution * diameter).
+    stay above -tol (default 5 * declared resolution * diameter; a given tol
+    must be finite and nonnegative).
     ``mode='dirac_target'`` keeps only the backward density term, mirroring
     the one-sided estimate used when the target is a Dirac.
     ``plan_search='exhaustive'`` re-runs the table over every vertex-optimal
@@ -241,6 +244,8 @@ def cdstar_check(
         nprime_grid = tuple(sorted({float(N), float(N) + 1.0, 2.0 * float(N)}))
     if tol is None:
         tol = 5.0 * space.declared_resolution() * space.diameter
+    elif not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol {tol!r} must be finite and nonnegative")
 
     base = w2(space, mu0, mu1, solver="exact")
     plans: list[tuple[str, Coupling]] = [("lp-vertex", base.plan)]

@@ -154,62 +154,84 @@ def _lattice_index(v, h: float) -> np.ndarray:
     return np.ceil(np.round(np.asarray(v) / h, 9) - 0.5).astype(np.int64)
 
 
-class GridInterpolator(Interpolator):
+class _LatticeInterpolator(Interpolator):
+    """Oracle that snaps each target to the sample point at its rounded
+    h-lattice index, found in a dense table over the sample's bounding box
+    (a point sharing its index with a later point is not found)."""
+
+    def __init__(self, coords: np.ndarray, h: float):
+        self.coords = np.asarray(coords, dtype=float)
+        self.h = float(h)
+        self.eps_geo = 1.5 * self.h
+        key = np.round(self.coords / self.h).astype(np.int64)
+        self._lo = key.min(axis=0, initial=0)
+        self._table = np.full(key.max(axis=0, initial=0) - self._lo + 1, -1)
+        self._table[tuple((key - self._lo).T)] = np.arange(len(key))
+
+    def _snap(self, keys: np.ndarray, nearest) -> np.ndarray:
+        """The point at each row of lattice ``keys``; rows with none get ``nearest(rows)``."""
+        k = keys - self._lo
+        inside = ((k >= 0) & (k < self._table.shape)).all(axis=1)
+        out = np.full(len(k), -1)
+        out[inside] = self._table[tuple(k[inside].T)]
+        miss = np.flatnonzero(out < 0)
+        out[miss] = nearest(miss)
+        return out
+
+
+class GridInterpolator(_LatticeInterpolator):
     """Straight-line interpolation snapped to the nearest sample point.
 
     Works for any norm metric on a coordinate sample (segments are geodesics
     in normed spaces). Snapping is per-axis on full lattices with half-cell
     ties resolved downward (lowest constructed index); off-lattice targets
-    fall back to a KD query.
+    fall back to a KD query in the p-norm.
     """
 
-    def __init__(self, coords: np.ndarray, h: float, p: float = 2.0, eps_geo: float | None = None):
-        self.coords = np.asarray(coords, dtype=float)
-        self.h = float(h)
+    def __init__(self, coords: np.ndarray, h: float, p: float = 2.0):
+        super().__init__(coords, h)
         self.p = p
-        key = np.round(self.coords / self.h).astype(np.int64)
-        self._lookup = {tuple(k): i for i, k in enumerate(key)}
         self._tree = cKDTree(self.coords)
-        self.eps_geo = 1.5 * self.h if eps_geo is None else float(eps_geo)
 
-    def _snap(self, target: np.ndarray) -> int:
-        hit = self._lookup.get(tuple(_lattice_index(target, self.h)))
-        if hit is not None:
-            return hit
-        return int(self._tree.query(target, p=self.p)[1])
-
-    def _at(self, i: int, j: int, t: float) -> int:
-        return self._snap((1.0 - t) * self.coords[i] + t * self.coords[j])
+    def _many(self, ii, jj, t):
+        target = (1.0 - t) * self.coords[ii] + t * self.coords[jj]
+        return self._snap(_lattice_index(target, self.h),
+                          lambda miss: self._tree.query(target[miss], p=self.p)[1])
 
     def restrict(self, idx):
-        return GridInterpolator(self.coords[idx], self.h, p=self.p, eps_geo=self.eps_geo)
+        return GridInterpolator(self.coords[idx], self.h, p=self.p)
 
 
-class CylinderInterpolator(Interpolator):
-    """Geodesics on circle x line: unwrap the short arc, interpolate, re-snap."""
+class CylinderInterpolator(_LatticeInterpolator):
+    """Geodesics on circle x line: unwrap the short arc, interpolate, re-snap;
+    a target off the sample goes to its nearest point by cylinder distance."""
 
     def __init__(self, coords: np.ndarray, h: float, circumference: float):
-        self.coords = np.asarray(coords, dtype=float)  # columns: (z, s)
-        self.h = float(h)
+        super().__init__(coords, h)  # columns: (z, s)
         self.circ = float(circumference)
         self.n_s = int(round(self.circ / self.h))
-        key = np.round(self.coords / self.h).astype(np.int64)
-        self._lookup = {tuple(k): i for i, k in enumerate(key)}
-        self.eps_geo = 1.5 * self.h
 
-    def _at(self, i: int, j: int, t: float) -> int:
-        z1, s1 = self.coords[i]
-        z2, s2 = self.coords[j]
+    def _many(self, ii, jj, t):
+        (z1, s1), (z2, s2) = self.coords[ii].T, self.coords[jj].T
         ds = (s2 - s1 + self.circ / 2) % self.circ - self.circ / 2
         z = (1 - t) * z1 + t * z2
         s = (s1 + t * ds) % self.circ
-        kz, ks = _lattice_index((z, s), self.h).tolist()
-        ks %= self.n_s
-        hit = self._lookup.get((kz, ks))
-        if hit is None:  # axis ends
-            zs = self.coords[:, 0]
-            hit = self._lookup[(int(_lattice_index(np.clip(z, zs.min(), zs.max()), self.h)), ks)]
-        return hit
+        key = _lattice_index(np.stack([z, s], axis=1), self.h)
+        key[:, 1] %= self.n_s
+        return self._snap(key, lambda miss: self._nearest(z[miss], s[miss]))
+
+    def _nearest(self, z: np.ndarray, s: np.ndarray) -> np.ndarray:
+        raw = np.abs(s[:, None] - self.coords[:, 1])
+        arc = np.minimum(raw, self.circ - raw)
+        return np.argmin(np.hypot(z[:, None] - self.coords[:, 0], arc), axis=1)
+
+    def restrict(self, idx):
+        return CylinderInterpolator(self.coords[idx], self.h, self.circ)
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise ``a[k] @ b[k]``, by the same dot routine as one pair."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 class SphereInterpolator(Interpolator):
@@ -221,24 +243,28 @@ class SphereInterpolator(Interpolator):
         self._tree = cKDTree(self.xyz)
         self.eps_geo = float(eps_geo)
 
-    def _at(self, i: int, j: int, t: float) -> int:
-        u = self.xyz[i] / self.radius
-        v = self.xyz[j] / self.radius
-        ang = np.arccos(np.clip(u @ v, -1.0, 1.0))
-        if ang < 1e-15:
-            return int(i)
-        w = (np.sin((1 - t) * ang) * u + np.sin(t * ang) * v) / np.sin(ang)
-        w = w / np.linalg.norm(w) * self.radius
-        return int(self._tree.query(w)[1])
+    def _many(self, ii, jj, t):
+        u = self.xyz[ii] / self.radius
+        v = self.xyz[jj] / self.radius
+        ang = np.arccos(np.clip(_rowdot(u, v), -1.0, 1.0))
+        out = ii.copy()  # a pair of one point stays there
+        far = np.flatnonzero(ang >= 1e-15)
+        a = ang[far, None]
+        w = (np.sin((1 - t) * a) * u[far] + np.sin(t * a) * v[far]) / np.sin(a)
+        w = w / np.sqrt(_rowdot(w, w))[:, None] * self.radius
+        out[far] = self._tree.query(w)[1]
+        return out
+
+    def restrict(self, idx):
+        return SphereInterpolator(self.xyz[idx], self.radius, self.eps_geo)
 
 
 class ConeInterpolator(Interpolator):
     """Geodesics on a cone of total angle alpha via sector unrolling."""
 
-    def __init__(self, polar: np.ndarray, angle: float, metric: np.ndarray, eps_geo: float):
+    def __init__(self, polar: np.ndarray, angle: float, eps_geo: float):
         self.polar = np.asarray(polar, dtype=float)  # (r, phi)
         self.alpha = float(angle)
-        self.metric = metric
         self.eps_geo = float(eps_geo)
 
     def _nearest(self, r: float, phi: float) -> int:
@@ -251,45 +277,55 @@ class ConeInterpolator(Interpolator):
         )
         return int(np.argmin(d))
 
-    def _at(self, i: int, j: int, t: float) -> int:
+    def _target(self, i: int, j: int, t: float) -> tuple[float, float]:
+        """Polar coordinates (r, phi) of the time-t point of the geodesic from i to j."""
         r1, p1 = self.polar[i]
         r2, p2 = self.polar[j]
         dphi = (p2 - p1 + self.alpha / 2) % self.alpha - self.alpha / 2
         if abs(dphi) >= np.pi:  # geodesic passes through the apex
             s = t * (r1 + r2)
-            if s <= r1:
-                return self._nearest(r1 - s, p1)
-            return self._nearest(s - r1, p2)
-        a = np.array([r1, 0.0])
-        b = np.array([r2 * np.cos(dphi), r2 * np.sin(dphi)])
-        q = (1 - t) * a + t * b
-        r = float(np.hypot(q[0], q[1]))
-        psi = float(np.arctan2(q[1], q[0]))
-        return self._nearest(r, (p1 + psi) % self.alpha)
+            return (r1 - s, p1) if s <= r1 else (s - r1, p2)
+        q = (1 - t) * np.array([r1, 0.0]) + t * np.array([r2 * np.cos(dphi), r2 * np.sin(dphi)])
+        return float(np.hypot(q[0], q[1])), (p1 + float(np.arctan2(q[1], q[0]))) % self.alpha
+
+    def _many(self, ii, jj, t):
+        return np.array([self._nearest(*self._target(i, j, t)) for i, j in zip(ii, jj)], dtype=int)
+
+    def restrict(self, idx):
+        return ConeInterpolator(self.polar[idx], self.alpha, self.eps_geo)
 
 
 class GraphInterpolator(Interpolator):
-    """Shortest-path interpolation: walk the path to fraction t of its length."""
+    """Shortest-path interpolation: walk the path to fraction t of its length.
+    The oracle answers on the graph nodes ``keep``; a walk that ends on
+    another node goes to the kept node nearest it by the graph metric."""
 
-    def __init__(self, metric: np.ndarray, predecessors: np.ndarray, eps_geo: float):
+    def __init__(self, metric: np.ndarray, predecessors: np.ndarray, eps_geo: float,
+                 keep: np.ndarray):
         self.metric = metric
         self.pred = predecessors
         self.eps_geo = float(eps_geo)
+        self.keep = np.asarray(keep, dtype=int)
+        self._pos = np.full(len(metric), -1)  # position of each node in keep, or -1
+        self._pos[self.keep] = np.arange(len(self.keep))
 
-    def _path(self, i: int, j: int) -> list[int]:
-        out = [j]
-        while out[-1] != i:
-            p = int(self.pred[i, out[-1]])
-            if p < 0:
-                break
-            out.append(p)
-        return out[::-1]
+    def _walk(self, i: int, j: int, t: float) -> int:
+        path = [j]
+        while path[-1] != i and self.pred[i, path[-1]] >= 0:
+            path.append(int(self.pred[i, path[-1]]))
+        path.reverse()
+        return path[int(np.argmin(np.abs(self.metric[i, path] - t * self.metric[i, j])))]
 
-    def _at(self, i: int, j: int, t: float) -> int:
-        path = self._path(int(i), int(j))
-        cum = np.array([self.metric[i, k] for k in path])
-        target = t * self.metric[i, j]
-        return int(path[int(np.argmin(np.abs(cum - target)))])
+    def _many(self, ii, jj, t):
+        ends = np.array([self._walk(int(i), int(j), t)
+                         for i, j in zip(self.keep[ii], self.keep[jj])], dtype=int)
+        out = self._pos[ends]
+        miss = np.flatnonzero(out < 0)
+        out[miss] = np.argmin(self.metric[np.ix_(ends[miss], self.keep)], axis=1)
+        return out
+
+    def restrict(self, idx):
+        return GraphInterpolator(self.metric, self.pred, self.eps_geo, self.keep[idx])
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +447,7 @@ def make(spec: ModelSpec) -> PointedSpace:
                 - 2 * rr[:, None] * rr[None, :] * np.cos(dphi), 0.0)),
         )
         np.fill_diagonal(metric, 0.0)
-        interp = ConeInterpolator(polar, spec.angle, metric, eps_geo=2.0 * spec.h)
+        interp = ConeInterpolator(polar, spec.angle, eps_geo=2.0 * spec.h)
         space = FiniteSpace(
             points=_int_tuples(np.round(polar / spec.h * 8)),
             metric=metric, weights=ws, coords=polar,
@@ -459,7 +495,7 @@ def make(spec: ModelSpec) -> PointedSpace:
         weights = rng.uniform(0.5, 1.5, size=n)
         weights /= weights.sum()
         edge_lengths = diff[ii, jj]
-        interp = GraphInterpolator(metric, pred, eps_geo=float(np.median(edge_lengths)))
+        interp = GraphInterpolator(metric, pred, float(np.median(edge_lengths)), np.arange(n))
         space = FiniteSpace(
             points=tuple(range(n)), metric=metric, weights=weights,
             coords=pts, interpolator=interp,

@@ -474,9 +474,11 @@ def _free_flow(wa: np.ndarray, wb: np.ndarray, loc: np.ndarray) -> float:
 def _exhaustive_radius(ball_a: _Ball, ball_b: _Ball,
                        upper_pairs: np.ndarray | None, lower: float) -> np.ndarray:
     """Relation attaining the exact infimum of distortion + gap over all
-    covering relations (tiny balls). The search stops once the best value
-    reaches ``lower``, a lower bound on that infimum: a later leaf replaces
-    the best only when it is strictly lower."""
+    covering relations (tiny balls), or the seed relation ``upper_pairs``
+    when no relation is valued below 1: every relation valued 1 or more has
+    term 1, so the search starts from min(1, seed value). It stops once the
+    best value reaches ``lower``, a lower bound on that infimum: a later
+    leaf replaces the best only when it is strictly lower."""
     na, nb = len(ball_a.w), len(ball_b.w)
     base_pair = (ball_a.base, ball_b.base)
     pairs = np.array([base_pair] + [(i, j) for i in range(na) for j in range(nb)
@@ -497,7 +499,7 @@ def _exhaustive_radius(ball_a: _Ball, ball_b: _Ball,
     best = math.inf
     best_pairs: np.ndarray | None = None
     if upper_pairs is not None:
-        best = sum(_evaluate(ball_a, ball_b, upper_pairs))
+        best = min(1.0, sum(_evaluate(ball_a, ball_b, upper_pairs)))
         best_pairs = upper_pairs
     nodes = 0
     # cheapest possible off-relation move: any non-relation arc pays at least

@@ -15,8 +15,10 @@ hub at T/2 in and T/2 out, with the same optimum since
 min(c, T) <= T/2 + T/2, and the certificate still checks all n0 * n1
 capped arcs, so it proves the capped LP itself optimal.
 An entropic solver provides the approximate route. Discrete displacement
-interpolation is delegated to an interpolation oracle that maps an
-(i, j, t) query to an existing point.
+interpolation is delegated to an interpolation oracle (``Interpolator``):
+it maps a whole plan of (i, j) pairs at a time t to existing points in one
+batch call, and on a subset of the points it restricts to an oracle of its
+own kind, whose answer for a dropped point is the nearest kept one.
 """
 from __future__ import annotations
 
@@ -296,10 +298,10 @@ def w2(
     ``W2Result.distance`` is its square root, and
     ``meta`` carries the duals ``u``, ``v`` with their dual certificate
     (``min_reduced_cost``, ``duality_gap``). Entropic mode runs log-domain
-    matrix scaling at regularization ``reg`` (squared distance units),
-    stopping at L1 marginal error 1e-8 or after 10,000 sweeps, and rounds
-    the plan back to the polytope so the reported cost upper-bounds the
-    exact one.
+    matrix scaling at regularization ``reg`` (squared distance units,
+    positive and finite, else ValueError), stopping at L1 marginal error
+    1e-8 or after 10,000 sweeps, and rounds the plan back to the polytope
+    so the reported cost upper-bounds the exact one.
     """
     mu0 = as_probability(space, mu0)
     mu1 = as_probability(space, mu1)
@@ -312,6 +314,8 @@ def w2(
         gamma, cost, u, v, cert = transport_lp(C, a, b)
         meta = {"u": u, "v": v, **cert}
     elif solver == "entropic":
+        if not (np.isfinite(reg) and reg > 0):
+            raise ValueError(f"reg {reg!r} must be positive and finite")
         gamma, iters, err = _sinkhorn(C, a, b, reg)
         cost = float((gamma * C).sum())
         meta = {"iterations": iters, "marginal_error": err, "reg": reg}
@@ -329,57 +333,31 @@ def w2(
 class Interpolator:
     """Oracle mapping (i, j, t) to the index of a point near the geodesic.
 
-    Calls with t <= 0 return i and calls with t >= 1 return j; subclasses
-    implement ``_at`` (and optionally a vectorized ``_many``) for interior
-    times only. ``eps_geo`` declares how far a returned path may deviate
-    from constant speed.
+    Batch contract: ``many(ii, jj, t)`` answers a whole plan at once, with
+    ``ii`` for t <= 0 and ``jj`` for t >= 1; a subclass implements only
+    ``_many``, for interior times, and a call on one pair is a one-pair
+    ``many``. Restriction rule: ``restrict(idx)`` is an oracle of the same
+    kind on the points ``idx``, answering in their positions. Where this
+    oracle's answer is kept it returns that point, otherwise the kept point
+    nearest the target in the oracle's own geometry. ``eps_geo`` declares
+    how far a returned path may deviate from constant speed.
     """
 
     eps_geo: float = 0.0
 
     def __call__(self, i: int, j: int, t: float) -> int:
-        if t <= 0.0:
-            return int(i)
-        if t >= 1.0:
-            return int(j)
-        return self._at(i, j, t)
+        return int(self.many(np.array([i]), np.array([j]), t)[0])
 
     def many(self, ii: np.ndarray, jj: np.ndarray, t: float) -> np.ndarray:
         if 0.0 < t < 1.0:
-            return self._many(ii, jj, t)
+            return self._many(np.asarray(ii, dtype=int), np.asarray(jj, dtype=int), t)
         return np.array(ii if t <= 0.0 else jj, dtype=int)
 
-    def _at(self, i: int, j: int, t: float) -> int:
+    def _many(self, ii: np.ndarray, jj: np.ndarray, t: float) -> np.ndarray:
         raise NotImplementedError
 
-    def _many(self, ii: np.ndarray, jj: np.ndarray, t: float) -> np.ndarray:
-        return np.array([self._at(int(i), int(j), t) for i, j in zip(ii, jj)], dtype=int)
-
     def restrict(self, idx: np.ndarray) -> "Interpolator":
-        """Oracle on the points ``idx`` of this one; by default a view that
-        snaps answers outside the subset to a kept point."""
-        return _RemappedInterpolator(self, idx)
-
-
-class _RemappedInterpolator(Interpolator):
-    """View of a parent oracle on a subset; falls back to nearest kept point."""
-
-    def __init__(self, parent: Interpolator, idx: np.ndarray):
-        self.parent = parent
-        self.idx = np.asarray(idx, dtype=int)
-        self._pos = {int(g): k for k, g in enumerate(self.idx)}
-        self._metric = getattr(parent, "metric", None)
-        self.eps_geo = parent.eps_geo
-
-    def _at(self, i: int, j: int, t: float) -> int:
-        g = self.parent(int(self.idx[i]), int(self.idx[j]), t)
-        hit = self._pos.get(int(g))
-        if hit is not None:
-            return hit
-        if self._metric is not None:
-            return int(np.argmin(self._metric[g, self.idx]))
-        # generic fallback: endpoint closest in parameter
-        return int(i if t < 0.5 else j)
+        raise NotImplementedError
 
 
 class MetricInterpolator(Interpolator):
@@ -400,11 +378,6 @@ class MetricInterpolator(Interpolator):
                 eps_geo = 0.0
         self.eps_geo = float(eps_geo)
 
-    def _at(self, i: int, j: int, t: float) -> int:
-        L = self.D[i, j]
-        obj = np.abs(self.D[i] - t * L) + np.abs(self.D[:, j] - (1.0 - t) * L)
-        return int(np.argmin(obj))
-
     def _many(self, ii, jj, t):
         L = self.D[ii, jj][:, None]
         obj = np.abs(self.D[ii, :] - t * L) + np.abs(self.D[jj, :] - (1.0 - t) * L)
@@ -420,16 +393,19 @@ def _get_interpolator(space: FiniteSpace) -> Interpolator:
     return space.interpolator
 
 
+def _pushforward(interp: Interpolator, n: int, ii: np.ndarray, jj: np.ndarray,
+                 mass: np.ndarray, t: float) -> np.ndarray:
+    """Measure on n points: each path's mass at its oracle point at time t."""
+    out = np.zeros(n)
+    np.add.at(out, interp.many(ii, jj, t), mass)
+    return out
+
+
 def interpolate(space: FiniteSpace, plan: Coupling, t: float) -> np.ndarray:
     """Pushforward of the plan mass along the space's oracle at time t."""
     if not (0.0 <= t <= 1.0):
         raise ValueError("t must lie in [0, 1]")
-    interp = _get_interpolator(space)
-    ii, jj, mm = plan.atoms()
-    out = np.zeros(space.n)
-    kk = interp.many(ii, jj, t)
-    np.add.at(out, kk, mm)
-    return out
+    return _pushforward(_get_interpolator(space), space.n, *plan.atoms(), t)
 
 
 @dataclass(frozen=True)
@@ -446,10 +422,7 @@ class GeodesicPlan:
     eps_geo: float
 
     def evaluate(self, t: float) -> np.ndarray:
-        out = np.zeros(self.space.n)
-        kk = self.interpolator.many(self.i, self.j, t)
-        np.add.at(out, kk, self.mass)
-        return out
+        return _pushforward(self.interpolator, self.space.n, self.i, self.j, self.mass, t)
 
     def endpoint_coupling(self) -> Coupling:
         rows, rinv = np.unique(self.i, return_inverse=True)
@@ -484,7 +457,7 @@ def geodesic_plan(space: FiniteSpace, plan: Coupling) -> GeodesicPlan:
         for t in range(s + 1, len(ts)):
             d = space.metric[P[s], P[t]]
             np.maximum(defects, np.abs(d - abs(ts[t] - ts[s]) * L), out=defects)
-    eps = getattr(interp, "eps_geo", 0.0)
+    eps = interp.eps_geo
     flagged = defects > eps if eps > 0 else np.zeros(len(ii), dtype=bool)
     return GeodesicPlan(
         space=space,

@@ -12,8 +12,10 @@ coefficients from 50-digit mpmath arithmetic, integrals from adaptive
 quadrature, graph metrics from networkx Dijkstra, relation flows from
 networkx's preflow-push instead of a min-cut enumeration, the split's
 representatives from a point-by-point leader loop instead of one sweep per
-representative, and its quotient metric from a loop over fiber pairs and
-their point pairs instead of one blocked sparse product.
+representative, its quotient metric from a loop over fiber pairs and
+their point pairs instead of one blocked sparse product, and the targets
+of the models' geodesic oracles from closed forms per pair (complex numbers
+for the cone's unrolled sector) instead of the oracles' batch code.
 """
 from __future__ import annotations
 
@@ -54,6 +56,47 @@ def cylinder_metric(coords: np.ndarray, circumference: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Transport: brute-force optimal coupling by vertex enumeration
 # ---------------------------------------------------------------------------
+
+def geodesic_target_distances(spec, space: FiniteSpace, i: int, j: int, t: float,
+                              answer: int) -> np.ndarray:
+    """Distance from every point of the model space to the time-t point of
+    the geodesic from i to j, in the model's own geometry. A graph's oracle
+    walks its shortest path to a node, so its target is the oracle's
+    ``answer``, measured by the graph metric."""
+    c = space.coords
+    if spec.kind in ("euclidean-grid", "lp-plane", "weighted-segment"):
+        p = spec.p if spec.kind == "lp-plane" else 2.0
+        return pairwise_norm(np.vstack([(1 - t) * c[i] + t * c[j], c]), p)[0, 1:]
+    if spec.kind == "cylinder":
+        L = spec.circumference
+        ds = (c[j, 1] - c[i, 1] + L / 2) % L - L / 2
+        z, s = (1 - t) * c[i, 0] + t * c[j, 0], (c[i, 1] + t * ds) % L
+        raw = np.abs(c[:, 1] - s)
+        return np.hypot(c[:, 0] - z, np.minimum(raw, L - raw))
+    if spec.kind == "sphere":
+        u, v = c[i] / spec.radius, c[j] / spec.radius
+        ang = np.arccos(np.clip(u @ v, -1.0, 1.0))
+        x = u if ang < 1e-12 else (np.sin((1 - t) * ang) * u + np.sin(t * ang) * v) / np.sin(ang)
+        return np.linalg.norm(c - spec.radius * x / np.linalg.norm(x), axis=1)
+    if spec.kind == "cone":
+        a = spec.angle
+        (r1, p1), (r2, p2) = c[i], c[j]
+        sep = (p2 - p1 + a / 2) % a - a / 2
+        if abs(sep) >= np.pi:  # in along ray p1 to the apex, out along ray p2
+            s = t * (r1 + r2)
+            r, phi = (r1 - s, p1) if s <= r1 else (s - r1, p2)
+        else:
+            q = (1 - t) * r1 + t * r2 * np.exp(1j * sep)
+            r, phi = abs(q), p1 + np.angle(q)
+        raw = np.abs(c[:, 1] - phi) % a
+        dphi = np.minimum(raw, a - raw)
+        return np.where(dphi >= np.pi, c[:, 0] + r,
+                        np.sqrt(np.maximum(c[:, 0] ** 2 + r * r
+                                           - 2 * c[:, 0] * r * np.cos(dphi), 0.0)))
+    if spec.kind == "graph":
+        return space.metric[answer]
+    raise ValueError(f"no geodesic target for kind {spec.kind!r}")
+
 
 def bruteforce_w2(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     """Exact transportation optimum via spanning-tree vertex enumeration.

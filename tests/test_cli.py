@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mmslab import cli, core, models, pmgh
+from mmslab import cli, core, models, pmgh, transport
 from mmslab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -332,3 +332,56 @@ def test_every_option_is_read():
             if not re.search(rf"\bargs\.{a.dest}\b", text):
                 unread.append((command, a.dest))
     assert not unread
+
+
+@pytest.mark.parametrize("reg", ["0", "nan", "inf", "-0.01"])
+def test_entropic_bad_reg_exit_code(tmp_path, reg):
+    # reg 0, nan and inf once printed W2 = nan, and -0.01 a W2^2 of 0.436
+    # where the exact value is 0.36
+    code = run(["w2", "euclidean-grid:1d,h=0.1,extent=0.5", "--mu0", "left-half:0",
+                "--mu1", "right-half:0", "--solver", "entropic", f"--reg={reg}",
+                "--out", str(tmp_path)])
+    assert code == cli.EXIT_VALIDATION
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["cdstar", "--K", "0", "--N", "nan"],
+    ["cdstar", "--K", "nan", "--N", "2"],
+    ["cdstar", "--K", "0", "--N", "2", "--Nprime-grid", "nan"],
+    ["cdstar", "--K", "0", "--N", "2", "--tol-cd", "nan"],
+    ["cdstar", "--K", "0", "--N", "2", "--tol-cd=-1"],
+    ["prolong", "--R", "0.3", "--N", "nan"],
+    ["doubling", "--radii", "nan"],
+], ids=["cdstar-N", "cdstar-K", "cdstar-Nprime", "cdstar-tol-nan", "cdstar-tol-negative",
+        "prolong-N", "doubling-radii"])
+def test_non_finite_parameter_exit_code(tmp_path, command):
+    # each once exited 0: a "violated" verdict with min slack nan, a
+    # coverage, or the doubling envelope [nan]
+    code = run([command[0], "euclidean-grid:1d,h=0.1,extent=0.5", *command[1:],
+                "--out", str(tmp_path)])
+    assert code == cli.EXIT_VALIDATION
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_measure_files_give_the_same_report(tmp_path):
+    # a measure given as a one-row CSV, a JSON list or JSON {"weights": ...}
+    space = "euclidean-grid:1d,h=0.1,extent=0.5"
+    sp = models.make(models.parse_spec(space)).space
+    mu0 = np.arange(1.0, 12.0) / 66.0
+    forms = {"mu0.csv": ",".join(repr(float(m)) for m in mu0),
+             "list.json": json.dumps(mu0.tolist()),
+             "dict.json": json.dumps({"weights": mu0.tolist()})}
+    reports = []
+    for name, text in forms.items():
+        (tmp_path / name).write_text(text)
+        out = tmp_path / f"out-{name}"
+        assert run(["w2", space, "--mu0", str(tmp_path / name), "--mu1", "uniform",
+                    "--out", str(out)]) == 0
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1] == reports[2]
+    direct = transport.w2(sp, mu0, np.full(sp.n, 1 / sp.n)).cost_squared
+    assert json.loads(reports[0])["cost_squared"] == direct
+    (tmp_path / "long.csv").write_text(",".join(["0.0"] * 11 + ["1.0"]))
+    assert run(["w2", space, "--mu0", str(tmp_path / "long.csv"), "--mu1", "uniform",
+                "--out", str(tmp_path / "o")]) == cli.EXIT_VALIDATION

@@ -1,8 +1,9 @@
 """Source hygiene: every name a module imports is used in that module, every
 module-level private name is referenced somewhere in the package, every
 function reads each of its parameters, some caller sets each parameter
-that has a default, one call site solves every LP, and the CLI maps every
-exception class the package defines to a documented exit code."""
+that has a default, one call site solves every LP, no code probes an
+object for an attribute, and the CLI maps every exception class the package
+defines to a documented exit code."""
 import ast
 import importlib
 import inspect
@@ -178,6 +179,17 @@ def test_one_linprog_call_site():
              for call in ast.walk(ast.parse(path.read_text()))
              if isinstance(call, ast.Call) and _call_name(call) == "linprog"]
     assert len(sites) == 1, f"linprog is called at {sites}, want one call site"
+
+
+def test_no_attribute_probes():
+    # hasattr and getattr with a default stand in for a contract: an object
+    # missing the attribute takes a silent fallback instead of failing
+    probes = [f"{path.name}:{call.lineno}" for path in sorted(SRC.glob("*.py"))
+              for call in ast.walk(ast.parse(path.read_text()))
+              if isinstance(call, ast.Call) and (
+                  _call_name(call) == "hasattr"
+                  or (_call_name(call) == "getattr" and len(call.args) == 3))]
+    assert not probes, f"attribute probes at {probes}"
 
 
 def test_every_error_has_an_exit_code():

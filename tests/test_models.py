@@ -5,7 +5,7 @@ import pytest
 from mmslab import core, models
 from mmslab.models import ModelSpec, ground_truth, make, parse_spec
 
-from oracles import cylinder_metric, pairwise_norm
+from oracles import cylinder_metric, geodesic_target_distances, pairwise_norm
 
 
 ALL_SPECS = [
@@ -164,6 +164,126 @@ def test_sphere_interpolation_near_great_circle():
             continue
         k = interp(i, j, 0.5)
         assert abs(D[i, k] - 0.5 * D[i, j]) <= 2.5 * ps.space.resolution
+
+
+# one space of each kind; the cone is wider than 2 pi so some of its
+# geodesics pass through the apex
+RESTRICT_SPECS = {
+    "euclidean-grid": ModelSpec("euclidean-grid", dim=2, h=0.1, extent=1.0, shape="ball"),
+    "lp-plane": ModelSpec("lp-plane", p=3.0, h=0.1, extent=1.0),
+    "sphere": ModelSpec("sphere", n_points=400),
+    "cone": ModelSpec("cone", angle=2.5 * np.pi, h=0.1, extent=1.0),
+    "cylinder": ModelSpec("cylinder", circumference=1.0, height=2.0, h=0.1),
+    "weighted-segment": ModelSpec("weighted-segment", h=0.05, extent=1.0, profile="linear"),
+    "graph": ModelSpec("graph", n_points=200, seed=3),
+}
+
+
+@pytest.mark.parametrize("name", RESTRICT_SPECS)
+def test_restricted_oracle_keeps_or_snaps_to_the_nearest_kept_point(name):
+    # on 70% of the points, in shuffled order: every answer is a kept point,
+    # the full oracle's answer when that is kept (or, where two points tie
+    # for nearest, the other one), and otherwise a kept point nearest the
+    # geodesic's target
+    spec = RESTRICT_SPECS[name]
+    sp = make(spec).space
+    rng = np.random.default_rng(8)
+    keep = rng.permutation(sp.n)[: int(0.7 * sp.n)]
+    where = np.full(sp.n, -1)
+    where[keep] = np.arange(len(keep))
+    full, sub = sp.interpolator, sp.subset(keep).interpolator
+    assert type(sub) is type(full)
+    a, b = rng.integers(len(keep), size=(2, 300))
+    snapped = 0
+    for t in (0.25, 0.5, 0.75):
+        got = sub.many(a, b, t)
+        assert ((0 <= got) & (got < len(keep))).all()
+        for x, y, g, k in zip(a, b, got, full.many(keep[a], keep[b], t)):
+            if g == where[k]:
+                continue
+            d = geodesic_target_distances(spec, sp, keep[x], keep[y], t, k)
+            if where[k] >= 0:
+                assert abs(d[keep[g]] - d[k]) <= 1e-12
+            else:
+                assert d[keep[g]] <= d[keep].min() + 1e-12
+                snapped += 1
+    assert snapped > 0
+
+
+@pytest.mark.parametrize("name", RESTRICT_SPECS)
+def test_dropped_midpoint_is_not_replaced_by_an_endpoint(name):
+    # drop only the midpoint of a pair at least 4h apart: the subset's oracle
+    # once returned an endpoint on spaces whose oracle carries no metric
+    spec = RESTRICT_SPECS[name]
+    sp = make(spec).space
+    f, h = sp.interpolator, sp.declared_resolution()
+    rng = np.random.default_rng(9)
+    checked = 0
+    for i, j in rng.integers(sp.n, size=(400, 2)):
+        k = f(i, j, 0.5)
+        if sp.metric[i, j] < 4 * h or k in (i, j):
+            continue
+        keep = np.delete(np.arange(sp.n), k)
+        g = keep[sp.subset(keep).interpolator(i - (i > k), j - (j > k), 0.5)]
+        assert g not in (i, j)
+        d = geodesic_target_distances(spec, sp, i, j, 0.5, k)
+        assert d[g] <= d[keep].min() + 1e-12
+        checked += 1
+        if checked == 8:
+            break
+    assert checked == 8
+
+
+def test_cone_geodesic_through_the_apex():
+    # on a cone of total angle 2.5 pi, points 1.25 pi apart around the axis
+    # are joined through the apex: in along one ray, out along the other
+    spec = ModelSpec("cone", angle=2.5 * np.pi, h=0.1, extent=1.0)
+    sp = make(spec).space
+    polar, f = sp.coords, sp.interpolator
+    at = lambda r, phi: int(np.argmin(np.abs(polar[:, 0] - r) + np.abs(polar[:, 1] - phi)))
+    i, j = at(0.5, 0.0), at(0.3, 1.25 * np.pi)
+    assert sp.metric[i, j] == pytest.approx(0.8, abs=1e-12)
+    for t, (r, phi) in [(0.25, (0.3, 0.0)), (0.625, (0.0, 0.0)), (0.875, (0.2, 1.25 * np.pi))]:
+        k = f(i, j, t)
+        assert k == at(r, phi)
+        assert sp.metric[i, k] == pytest.approx(t * 0.8, abs=1e-12)
+        assert sp.metric[k, j] == pytest.approx((1 - t) * 0.8, abs=1e-12)
+
+
+def test_sphere_pair_of_one_point_stays_there():
+    sp = make(ModelSpec("sphere", n_points=200)).space
+    f = sp.interpolator
+    ii = np.arange(200)
+    jj = ii.copy()
+    jj[::2] = (ii[::2] + 77) % 200  # one batch mixes proper pairs in
+    for t in (0.25, 0.5, 0.75):
+        assert np.array_equal(f.many(ii, ii, t), ii)
+        got = f.many(ii, jj, t)
+        assert np.array_equal(got[1::2], ii[1::2])
+        assert [f(i, j, t) for i, j in zip(ii[::2], jj[::2])] == got[::2].tolist()
+
+
+def test_grid_ball_target_off_the_sample_takes_the_nearest_point():
+    # near the rim of a ball grid a target can round to a lattice point
+    # outside the ball; the oracle then takes the nearest sample point
+    h = 0.1
+    sp = make(ModelSpec("euclidean-grid", dim=2, h=h, extent=1.0, shape="ball")).space
+    c, f = sp.coords, sp.interpolator
+    sampled = {tuple(k) for k in np.round(c / h).astype(int).tolist()}
+    rng = np.random.default_rng(10)
+    ii, jj = rng.integers(sp.n, size=(2, 3000))
+    off_total = 0
+    for t in (0.25, 0.5, 0.75):
+        target = (1 - t) * c[ii] + t * c[jj]
+        off = np.array([tuple(k) not in sampled
+                        for k in models._lattice_index(target, h).tolist()])
+        got = f.many(ii[off], jj[off], t)
+        d = np.linalg.norm(c[got] - target[off], axis=1)
+        best = np.linalg.norm(c[None, :, :] - target[off][:, None, :], axis=2).min(axis=1)
+        assert np.allclose(d, best, rtol=0.0, atol=1e-12)
+        assert (d > 0).all()
+        off_total += int(off.sum())
+    assert off_total > 0
 
 
 def test_cylinder_wraps_short_way():

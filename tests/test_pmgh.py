@@ -353,6 +353,20 @@ class TestLowerBound:
         with pytest.raises(pmgh.PmghBudgetError):
             pmgh._exhaustive_radius(ball_a, ball_b, seed_pairs, 0.0)
 
+    def test_exhaustive_stops_at_the_cap(self, monkeypatch):
+        # bound 0.757, seed relation 1.802, optimum 1.219: every relation is
+        # valued 1 or more, so the term is 1 and the search need only look
+        # below 1. From 1 it takes about 21,000 nodes; from the seed's value
+        # it took about 415,000 and ran out of this budget
+        A, B = random_pair(np.random.default_rng(7), 5, 4)
+        ball_a, ball_b = _ball(A, 100.0), _ball(B, 100.0)
+        bound = pmgh._lower_bound(ball_a, ball_b)
+        seed_pairs = pmgh._anneal_radius(ball_a, ball_b, 1, proposals=2000, restarts=1)
+        assert bound < 1.0 < sum(pmgh._evaluate(ball_a, ball_b, seed_pairs))
+        monkeypatch.setattr(pmgh, "EXHAUSTIVE_BUDGET", 100_000)
+        loc = pmgh._exhaustive_radius(ball_a, ball_b, seed_pairs, bound)
+        assert min(1.0, sum(pmgh._evaluate(ball_a, ball_b, loc))) == 1.0
+
 
 class TestSaturatedRadii:
     """A radius whose bound passes 1 is not searched; its term is 1 either way."""
