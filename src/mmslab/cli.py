@@ -42,7 +42,7 @@ _VALIDATION_ERRORS = (
     KeyError,
 )
 _BUDGET_ERRORS = (pmgh.PmghBudgetError, curvature.EnumerationBudgetError,
-                  models.ModelBudgetError)
+                  models.ModelBudgetError, transport.TransportBudgetError)
 
 
 def _load_pointed(arg: str) -> core.PointedSpace:

@@ -156,14 +156,15 @@ def _lattice_index(v, h: float) -> np.ndarray:
 
 class _LatticeInterpolator(Interpolator):
     """Oracle that snaps each target to the sample point at its rounded
-    h-lattice index, found in a dense table over the sample's bounding box
-    (a point sharing its index with a later point is not found)."""
+    lattice index (spacing ``h``, one for every axis or one per axis), found
+    in a dense table over the sample's bounding box (a point sharing its
+    index with a later point is not found)."""
 
-    def __init__(self, coords: np.ndarray, h: float):
+    def __init__(self, coords: np.ndarray, h):
         self.coords = np.asarray(coords, dtype=float)
-        self.h = float(h)
-        self.eps_geo = 1.5 * self.h
-        key = np.round(self.coords / self.h).astype(np.int64)
+        self.h = h
+        self.eps_geo = 1.5 * float(np.max(h))
+        key = np.round(self.coords / h).astype(np.int64)
         self._lo = key.min(axis=0, initial=0)
         self._table = np.full(key.max(axis=0, initial=0) - self._lo + 1, -1)
         self._table[tuple((key - self._lo).T)] = np.arange(len(key))
@@ -189,7 +190,7 @@ class GridInterpolator(_LatticeInterpolator):
     """
 
     def __init__(self, coords: np.ndarray, h: float, p: float = 2.0):
-        super().__init__(coords, h)
+        super().__init__(coords, float(h))
         self.p = p
         self._tree = cKDTree(self.coords)
 
@@ -203,13 +204,15 @@ class GridInterpolator(_LatticeInterpolator):
 
 
 class CylinderInterpolator(_LatticeInterpolator):
-    """Geodesics on circle x line: unwrap the short arc, interpolate, re-snap;
-    a target off the sample goes to its nearest point by cylinder distance."""
+    """Geodesics on circle x line: unwrap the short arc, interpolate, re-snap
+    on the model's lattice (axial spacing h, ``rings`` rings around the
+    circumference); a target off the sample goes to its nearest point by
+    cylinder distance."""
 
-    def __init__(self, coords: np.ndarray, h: float, circumference: float):
-        super().__init__(coords, h)  # columns: (z, s)
+    def __init__(self, coords: np.ndarray, h: float, circumference: float, rings: int):
+        super().__init__(coords, np.array([h, circumference / rings]))  # columns: (z, s)
         self.circ = float(circumference)
-        self.n_s = int(round(self.circ / self.h))
+        self.n_s = int(rings)
 
     def _many(self, ii, jj, t):
         (z1, s1), (z2, s2) = self.coords[ii].T, self.coords[jj].T
@@ -226,7 +229,7 @@ class CylinderInterpolator(_LatticeInterpolator):
         return np.argmin(np.hypot(z[:, None] - self.coords[:, 0], arc), axis=1)
 
     def restrict(self, idx):
-        return CylinderInterpolator(self.coords[idx], self.h, self.circ)
+        return CylinderInterpolator(self.coords[idx], self.h[0], self.circ, self.n_s)
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -396,7 +399,7 @@ def make(spec: ModelSpec) -> PointedSpace:
         n = len(coords)
         metric = np.hypot(dz[:, None, :, None], darc[None, :, None, :]).reshape(n, n)
         weights = np.full(len(coords), spec.h * hs)
-        interp = CylinderInterpolator(coords, spec.h, spec.circumference)
+        interp = CylinderInterpolator(coords, spec.h, spec.circumference, n_s)
         space = FiniteSpace(
             points=_int_tuples(np.round(coords / spec.h)),
             metric=metric, weights=weights, coords=coords,

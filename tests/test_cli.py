@@ -210,6 +210,20 @@ def test_budget_error_exit_code(tmp_path):
     assert code == cli.EXIT_BUDGET
 
 
+def test_transport_pair_limit_exit_code(tmp_path, monkeypatch, capsys):
+    # 11 x 11 support pairs, one above the limit: refused before any solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the size check must run before any solve")
+
+    monkeypatch.setattr(transport, "TRANSPORT_PAIR_LIMIT", 120)
+    monkeypatch.setattr(transport, "transport_lp", no_solve)
+    code = run(["w2", "euclidean-grid:1d,h=0.1,extent=0.5", "--mu0", "uniform",
+                "--mu1", "uniform", "--out", str(tmp_path)])
+    assert code == cli.EXIT_BUDGET
+    assert "11 x 11" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_ghdist_ball_size_limit_fails_fast(tmp_path, monkeypatch, capsys):
     # 1,681 points per side: above the anneal limit, refused before any search
     def no_search(*args, **kwargs):

@@ -294,6 +294,21 @@ def test_cylinder_wraps_short_way():
     assert ps.space.metric[a, b] == pytest.approx(0.2, abs=1e-12)
 
 
+def test_cylinder_of_few_rings_snaps_on_its_own_rings():
+    # c / h < 2.5 forces 3 rings at spacing c / 3, so the oracle must key by it
+    spec = parse_spec("cylinder:c=1,L=2,h=0.45")
+    sp = make(spec).space
+    c = sp.coords
+    ii, jj = np.meshgrid(np.arange(sp.n), np.arange(sp.n), indexing="ij")
+    half = sp.interpolator.many(ii.ravel(), jj.ravel(), 0.5)
+    assert set(np.round(c[half, 1], 9)) == set(np.round(c[:, 1], 9))
+    i = int(np.argmin(np.hypot(c[:, 0], c[:, 1])))
+    j = int(np.argmin(np.hypot(c[:, 0] - 0.9, c[:, 1] - 1 / 3)))
+    got = sp.interpolator(i, j, 0.9)
+    d = geodesic_target_distances(spec, sp, i, j, 0.9, got)
+    assert d[got] == pytest.approx(d.min(), abs=1e-12)
+
+
 def test_weighted_segment_profiles_positive():
     for profile in ("uniform", "linear", "quadratic", "exp"):
         ps = make(ModelSpec("weighted-segment", h=0.1, extent=1.0, profile=profile))
