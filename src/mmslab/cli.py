@@ -30,17 +30,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 
-_VALIDATION_ERRORS = (
-    ValueError,
-    IndexError,
-    transport.MassMismatchError,
-    transport.MissingInterpolatorError,
-    curvature.SingularMarginalError,
-    pmgh.CoverageError,
-    tangent_lab.LineTooShortError,
-    FileNotFoundError,
-    KeyError,
-)
+_VALIDATION_ERRORS = (ValueError, IndexError, FileNotFoundError, KeyError)
 _BUDGET_ERRORS = (pmgh.PmghBudgetError, curvature.EnumerationBudgetError,
                   models.ModelBudgetError, transport.TransportBudgetError)
 

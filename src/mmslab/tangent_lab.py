@@ -45,6 +45,9 @@ class LineTooShortError(ValueError):
 # Blow-ups
 # ---------------------------------------------------------------------------
 
+_MIN_CELLS = 4.0   # default sample spacings per window radius for a usable member
+
+
 @dataclass(frozen=True)
 class BlowupMember:
     radius: float
@@ -73,7 +76,7 @@ def blowup(
     ps: PointedSpace,
     radii: Sequence[float],
     window: float = 8.0,
-    min_cells: float = 4.0,
+    min_cells: float = _MIN_CELLS,
 ) -> BlowupSequence:
     """Rescale, renormalize and window the space at its basepoint per radius.
 
@@ -197,11 +200,11 @@ def iterated_tangent_check(
         inner_radii = (0.5,)
     seq = blowup(ps, radii, window=window)
     # tangent approximation: the finest member that the inner blow-up can
-    # still zoom without dropping below the resolution gate
+    # still zoom without dropping below blowup's resolution gate
     rho_min = min(inner_radii)
     member = None
     for m in seq.usable_members():
-        if m.relative_resolution / rho_min <= window / 4.0:
+        if m.relative_resolution / rho_min <= window / _MIN_CELLS:
             member = m
     if member is None:
         raise ValueError("no usable blow-up member admits the inner blow-up")
@@ -236,8 +239,7 @@ def iterated_tangent_check(
 @dataclass(frozen=True)
 class LineCandidate:
     chain: np.ndarray        # point indices ordered along the line
-    params: np.ndarray       # arc-length parameters; 0 at the center point
-    center_pos: int          # position of the basepoint within the chain
+    params: np.ndarray       # projection parameters t, increasing; 0 at the base
     eps_line: float          # max additive defect over all chain pairs
     length: float
 
@@ -254,109 +256,88 @@ class LineCandidate:
         return float(np.median(np.diff(self.params)))
 
 
-_EXACT = 1e-9   # an excess at or below this counts as on the geodesic
-
-
-def _line_ends(D: np.ndarray, base: int, L: float, step: float, eps: float):
-    """End pair (p, q) of :func:`detect_line` and every point's excess for it."""
-    shell = np.flatnonzero(np.abs(D[base] - L) <= step)
-    if shell.size < 2:
-        return None
-    Ds = D[np.ix_(shell, shell)]
-    at_base = D[base, shell][:, None] + D[base, shell] - Ds
-    tie = at_base <= at_base.min() + _EXACT
-    far = np.argmax(np.where(tie, Ds, -1.0), axis=1)
-    pairs = np.stack([shell, shell[far]], axis=1)[tie.any(axis=1)]
-    P, Q = np.unique(np.sort(pairs, axis=1), axis=0).T
-    span = D[P, Q]
-    # a pair covers at most `top` bins: score the pairs that can reach the
-    # longest spans' coverage, then, if none does, those that can reach the best
-    top = np.floor((span + _EXACT) / step) + 1
-    need = top.max()
-    while True:
-        sel = top >= need
-        excess = D[P[sel]] + D[Q[sel]] - span[sel, None]
-        rows, cols = np.nonzero(excess <= _EXACT)
-        occupied = np.zeros((sel.sum(), int(top.max()) + 1), dtype=bool)
-        occupied[rows, (D[P[sel][rows], cols] / step).astype(int)] = True
-        bins = occupied.sum(axis=1)
-        if bins.max() >= need:
-            break
-        need = bins.max()
-    n_tube = (excess <= 0.5 * eps).sum(axis=1)
-    k = np.lexsort((Q[sel], P[sel], n_tube, -span[sel], -bins))[0]
-    return int(P[sel][k]), int(Q[sel][k]), excess[k]
-
-
-def _walk(D: np.ndarray, base: int, end: int, tube: np.ndarray, excess: np.ndarray,
-          step: float, L: float) -> tuple[list[int], list[float]]:
-    """One arm of :func:`detect_line`: its points and running parameters."""
-    chain: list[int] = []
-    params: list[float] = []
-    prev, s = base, 0.0
-    while s < L:
-        cand = tube[(np.abs(D[prev, tube] - step) <= 0.75 * step)
-                    & (D[end, tube] < D[end, prev])]
-        if cand.size == 0:
-            break
-        s_cand = s + D[prev, cand]
-        k = np.lexsort((cand, np.abs(s_cand - (len(chain) + 1) * step),
-                        excess[cand] > _EXACT))[0]
-        prev, s = int(cand[k]), float(s_cand[k])
-        chain.append(prev)
-        params.append(s)
-    return chain, params
+def _projection_chain(D: np.ndarray, o: int, p: int, q: int, end: float, h: float,
+                      eps: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """The chain of :func:`detect_line` for the ends (p, q), its arms ending at
+    their first point with |t| >= end: its points, their t and its width."""
+    excess = D[p] + D[q] - D[p, q]
+    key = excess.copy()
+    key[o] = -np.inf
+    x = np.flatnonzero(key <= 0.5 * eps)
+    t = 0.5 * (D[p, x] - D[q, x]) - 0.5 * (D[p, o] - D[q, o])
+    b = np.rint(t / h)
+    order = np.lexsort((key[x], b))
+    keep = order[np.r_[True, np.diff(b[order]) != 0]]
+    x, t = x[keep], t[keep]
+    hi, lo = np.flatnonzero(t >= end), np.flatnonzero(t <= -end)
+    arms = slice(lo[-1] if lo.size else 0, hi[0] + 1 if hi.size else None)
+    return x[arms], t[arms], float(excess[x[arms]].max())
 
 
 def detect_line(ps: PointedSpace, L: float, eps: float) -> LineCandidate | None:
-    """Find an eps-additive chain reaching L on each side of the base.
+    """Find an eps-additive chain reaching L on each side of the base o.
 
-    Abresch-Gromoll excess construction, with step = max(1.2 h, L/48) and
-    "exact" meaning an excess of at most 1e-9:
+    Abresch-Gromoll excess construction by projection bins, with h the
+    declared resolution, step = max(1.2 h, L/48), and values within 16 ulps
+    of L counting as tied (rounding level):
 
-    - the ends p, q lie on the shell |d(base, .) - L| <= step and have the
-      least excess d(p, base) + d(base, q) - d(p, q) at the base (to within
-      1e-9); each p keeps its farthest such partner, and among the pairs
-      the most step bins of d(p, .) holding an exact point win, then the
-      longest span, then the fewest points of excess <= eps/2, then the
-      lowest indices;
-    - each arm walks the points of excess d(p, x) + d(x, q) - d(p, q)
-      <= eps/2 from the base towards its end, one step at a time, to a
-      point 0.25 to 1.75 steps from the previous one and nearer the end:
-      exact points first (the arm keeps to a sampled geodesic where there
-      is one), then the least |s + d(prev, x) - k step| (s the running
-      parameter, k the step number), then the lowest index; an arm stops
-      once s reaches L;
-    - ``params`` are the running sums of chain distances from the base,
-      positive on the arm whose first point has the lower index.
+    - ends: each point of the shell |d(o, .) - L| <= step is paired with
+      the shell point of least excess d(p, o) + d(o, q) - d(p, q) at the
+      base, ties going to the farthest; a pair is taken with p < q;
+    - bins: the tube points x of excess d(p, x) + d(x, q) - d(p, q) <= eps/2
+      are binned by rint(t/h), where t(x) = (d(p, x) - d(q, x))/2 -
+      (d(p, o) - d(q, o))/2 projects x on the line (t(o) = 0, increasing
+      towards q); each bin keeps its point of least excess (the lowest
+      index on ties), and o holds bin 0;
+    - chain: the kept points in order of t, each arm ending at its first
+      point with |t| >= L (tied included); ``params`` are their t;
+    - choice: only chains with points on both sides of o, reaching L - step
+      on each, count. They are ranked by the least width (the largest
+      excess of a chain point, 0 at rounding level), then the longest
+      d(p, q), then the lowest (p, q). The first whose additive defect over
+      all chain pairs (``eps_line``) is at most eps is returned; None if
+      there is none.
 
-    The chain is returned only if both arms reach L - step and its additive
-    defect over all chain pairs (``eps_line``) is at most eps; else None.
+    Pairs are built in the order of their excess at the base, which bounds
+    their width from below, and the search stops once no unbuilt pair can
+    outrank the best chain found.
     """
     if L <= 0:
         raise ValueError("L must be positive")
     D = ps.space.metric
-    base = ps.base
-    step = max(1.2 * ps.space.declared_resolution(), L / 48.0)
-    ends = _line_ends(D, base, L, step, eps)
-    if ends is None:
+    o = ps.base
+    h = ps.space.declared_resolution()
+    step = max(1.2 * h, L / 48.0)
+    tie = 16.0 * np.spacing(L)
+    shell = np.flatnonzero(np.abs(D[o] - L) <= step)
+    if shell.size < 2:
         return None
-    p, q, excess = ends
-    tube = np.flatnonzero(excess <= 0.5 * eps)
-    arms = [_walk(D, base, end, tube, excess, step, L) for end in (p, q)]
-    if not (arms[0][0] and arms[1][0]):
+    Ds = D[np.ix_(shell, shell)]
+    at_base = D[o, shell][:, None] + D[o, shell] - Ds
+    near = at_base <= at_base.min(axis=1, keepdims=True) + tie
+    far = np.argmax(np.where(near, Ds, -1.0), axis=1)
+    P, Q = np.unique(np.sort(np.stack([shell, shell[far]], axis=1), axis=1), axis=0).T
+    span = D[P, Q]
+    floor = D[P, o] + D[Q, o] - span
+    floor[floor <= tie] = 0.0
+    best = None
+    for i in np.lexsort((Q, P, -span, floor)):
+        if best is not None and best[0] <= (floor[i], -span[i], P[i], Q[i]):
+            break
+        chain, params, width = _projection_chain(D, o, P[i], Q[i], L - tie, h, eps)
+        rank = (width if width > tie else 0.0, -span[i], P[i], Q[i])
+        reach = min(params[-1], -params[0])
+        if reach < L - step or reach <= 0 or (best is not None and best[0] <= rank):
+            continue
+        eps_line = float(np.abs(D[np.ix_(chain, chain)]
+                                - np.abs(params[:, None] - params[None, :])).max())
+        if eps_line <= eps:
+            best = rank, chain, params, eps_line
+    if best is None:
         return None
-    (pos, pos_pr), (neg, neg_pr) = sorted(arms, key=lambda arm: arm[0][0])
-    chain = np.array(neg[::-1] + [base] + pos, dtype=int)
-    params = np.array([-s for s in neg_pr[::-1]] + [0.0] + pos_pr)
-    if params[-1] < L - step or -params[0] < L - step:
-        return None
-    eps_line = float(np.abs(D[np.ix_(chain, chain)]
-                            - np.abs(params[:, None] - params[None, :])).max())
-    if eps_line > eps:
-        return None
-    return LineCandidate(chain=chain, params=params, center_pos=len(neg),
-                         eps_line=eps_line, length=float(params[-1] - params[0]))
+    _, chain, params, eps_line = best
+    return LineCandidate(chain=chain, params=params, eps_line=eps_line,
+                         length=float(params[-1] - params[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -379,26 +360,6 @@ class SplitResult:
                 f"delta_measure {self.delta_measure:.4g}")
 
 
-def _foot_parameters(D2_chain: np.ndarray, params: np.ndarray) -> np.ndarray:
-    """Parabolic vertex of s -> d(x, chain(s))^2 around the discrete argmin.
-
-    Exact on metric products (where the profile is exactly quadratic in s).
-    """
-    n, m = D2_chain.shape
-    i = np.argmin(D2_chain, axis=1)
-    i = np.clip(i, 1, m - 2)
-    rows = np.arange(n)
-    s1, s2, s3 = params[i - 1], params[i], params[i + 1]
-    f1, f2, f3 = D2_chain[rows, i - 1], D2_chain[rows, i], D2_chain[rows, i + 1]
-    # vertex of the parabola through three (s, f) samples
-    denom = (s1 - s2) * (f2 - f3) - (s2 - s3) * (f1 - f2)
-    num = (s1 - s2) * (s1 + s2) * (f2 - f3) - (s2 - s3) * (s2 + s3) * (f1 - f2)
-    safe = np.abs(denom) > 1e-300
-    out = params[i].astype(float)
-    out[safe] = 0.5 * num[safe] / denom[safe]
-    return out
-
-
 _ROW_BLOCK = 32   # rows per block of the n x n passes over the window (cache-sized)
 
 
@@ -416,31 +377,35 @@ def _quotient_sq(Dw: np.ndarray, b: np.ndarray, I, J) -> np.ndarray:
 def split(ps: PointedSpace, line: LineCandidate, window: float | None = None) -> SplitResult:
     """Factor an approximate line off the space around the basepoint.
 
-    Computes a Busemann-type coordinate b from the chain (foot-point
-    parameter, exact on products), slices the central level set
-    |b| <= 1.5 max(h, step/2) into representatives (points whose quotient
-    distance is within h/2 merge), assigns every windowed point to the fiber
-    of its nearest representative, takes d'^2 of two fibers as the
+    The points within ``window`` of the base (default: the chain's shorter
+    arm less 1.3 chain steps) get a Busemann-type coordinate b: -1/2 times
+    the least-squares slope of d(x, chain(s))^2 - s^2 against the chain
+    parameter s, shifted to 0 at the base. On a metric product that profile
+    is -2 b s + b^2 + d'^2, so b is exact there. The central level set
+    |b| <= 1.5 max(h, step/2) is clustered into representatives (points
+    whose quotient distance is within h/2 merge), every windowed point joins
+    the fiber of its nearest representative, d'^2 of two fibers is the
     mass-weighted mean of max(0, d^2 - (b-b)^2) over all their point pairs,
-    and pushes the measure forward with per-fiber extent normalization. ``delta_metric`` is the exact maximum over all
-    pairs of windowed points of |d^2 - (b-b)^2 - d'^2|^(1/2); both defects
-    are reported, and the split refuses windows the chain does not dominate.
+    and the measure is pushed forward with per-fiber extent normalization.
+    ``delta_metric`` is the exact maximum over all pairs of windowed points
+    of |d^2 - (b-b)^2 - d'^2|^(1/2); both defects are reported. The line is
+    certified only along its chain, so the split refuses a window that the
+    chain does not pass by 1.25 chain steps on each side.
     """
     space = ps.space
     D = space.metric
     chain, params = line.chain, line.params
     step = max(line.step, 1e-12)
-    t_plus, t_minus = float(params.max()), float(-params.min())
+    t_plus, t_minus = float(params[-1]), float(-params[0])
     if window is None:
         window = min(t_plus, t_minus) - 1.3 * step
     if window <= step:
         raise LineTooShortError("window collapses below one chain step")
-    # foot-point fitting needs an interior argmin: the chain must extend
-    # beyond the window on both sides
+    # the chain must dominate the window it certifies
     if t_plus < window + 1.25 * step or t_minus < window + 1.25 * step:
         raise LineTooShortError(
-            f"chain reaches ({t_minus:.3g}, {t_plus:.3g}) but the split window "
-            f"{window:.3g} needs a chain step beyond it on each side")
+            f"chain reaches ({t_minus:.3g}, {t_plus:.3g}), which does not dominate "
+            f"the split window {window:.3g} by a chain step on each side")
 
     h = space.declared_resolution()
     idx = np.flatnonzero(D[ps.base] <= window)
@@ -448,7 +413,8 @@ def split(ps: PointedSpace, line: LineCandidate, window: float | None = None) ->
     ww = space.weights[idx]
     base_pos = int(np.searchsorted(idx, ps.base))
 
-    b = _foot_parameters(D[np.ix_(idx, chain)] ** 2, params)
+    s = params - params.mean()
+    b = -0.5 * ((D[np.ix_(idx, chain)] ** 2 - params ** 2) @ s) / (s @ s)
     b = b - b[base_pos]
 
     half = 1.5 * max(h, step / 2.0)
@@ -568,12 +534,15 @@ class DimensionConfig:
 
     Each stage blows the current space up at one radius (1 at the first
     stage; later stages zoom the quotient back out to fill the window) with
-    at least 3 sample spacings per window radius, finds a line with
-    :func:`detect_line` (the excess construction, certified by its additive
-    defect ``eps_line`` and its length) and splits it off with
-    :func:`split`, whose ``delta_metric`` is exact over all pairs. A stage
-    is inconclusive when that defect exceeds max(8h, 0.05 window); the
-    iteration stops when a quotient has fewer than 4 points.
+    at least 3 sample spacings per window radius. It looks for a chain
+    reaching ``line_length`` on each side of the base with
+    :func:`detect_line` (projection bins of width h along the excess tube of
+    the narrowest end pair, certified by the additive defect ``eps_line`` <=
+    ``line_eps``) and splits it off with :func:`split` (a least-squares
+    Busemann coordinate, and a ``delta_metric`` exact over all pairs). A
+    stage is inconclusive when that defect exceeds max(8h, 0.05 window); the
+    iteration stops when a quotient has fewer than 4 points or a diameter
+    below 2.5 h.
     """
 
     N: float                              # dimension budget; at most floor(N) factors

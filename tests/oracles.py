@@ -12,7 +12,8 @@ coefficients from 50-digit mpmath arithmetic, integrals from adaptive
 quadrature, graph metrics from networkx Dijkstra, relation flows from
 networkx's preflow-push instead of a min-cut enumeration, the split's
 representatives from a point-by-point leader loop instead of one sweep per
-representative, its quotient metric from a loop over fiber pairs and
+representative, the line's chain from every end pair binned point by point
+and ranked at once instead of built lazily, its quotient metric from a loop over fiber pairs and
 their point pairs instead of one blocked sparse product, and the targets
 of the models' geodesic oracles from closed forms per pair (complex numbers
 for the cone's unrolled sector) instead of the oracles' batch code.
@@ -291,6 +292,48 @@ def fiber_pair_mean(Dw: np.ndarray, b: np.ndarray, ww: np.ndarray,
                 q = np.maximum(Dw[np.ix_(fa, fc)] ** 2 - np.subtract.outer(b[fa], b[fc]) ** 2, 0)
                 out[a, c] = np.sqrt((w * q).sum() / w.sum())
     return out
+
+
+def projection_line(D: np.ndarray, o: int, L: float, eps: float, h: float):
+    """detect_line's chain from its definition, pair by pair: every end pair
+    is built, its tube binned point by point through a dict, and all pairs
+    ranked at once instead of built in order of a lower bound. Returns
+    (chain, params), or None."""
+    step, tie = max(1.2 * h, L / 48.0), 16.0 * np.spacing(L)
+    shell = [int(i) for i in np.flatnonzero(np.abs(D[o] - L) <= step)]
+    pairs = set()
+    for p in shell:
+        exc = {q: D[o, p] + D[o, q] - D[p, q] for q in shell}
+        q = max((q for q in shell if exc[q] <= min(exc.values()) + tie),
+                key=lambda q: (D[p, q], -q))
+        pairs.add((min(p, q), max(p, q)))
+    ranked = []
+    for p, q in pairs:
+        excess = D[p] + D[q] - D[p, q]
+        bins: dict = {0: (excess[o], o, 0.0)}
+        for x in np.flatnonzero(excess <= 0.5 * eps):
+            t = 0.5 * (D[p, x] - D[q, x]) - 0.5 * (D[p, o] - D[q, o])
+            k = round(t / h)
+            if k != 0 and (k not in bins or excess[x] < bins[k][0]):
+                bins[k] = (excess[x], int(x), t)
+        arms = []
+        for side in (1, -1):
+            arm = []
+            for k in sorted((k for k in bins if side * k > 0), key=abs):
+                arm.append(bins[k])
+                if side * bins[k][2] >= L - tie:
+                    break
+            arms.append(arm)
+        chain = arms[1][::-1] + [bins[0]] + arms[0]
+        width = max(e for e, _, _ in chain)
+        if arms[0] and arms[1] and min(arms[0][-1][2], -arms[1][-1][2]) >= L - step:
+            ranked.append(((width if width > tie else 0.0, -D[p, q], p, q), chain))
+    for _, chain in sorted(ranked, key=lambda r: r[0]):
+        idx = np.array([x for _, x, _ in chain])
+        t = np.array([t for _, _, t in chain])
+        if np.abs(D[np.ix_(idx, idx)] - np.abs(t[:, None] - t[None, :])).max() <= eps:
+            return idx, t
+    return None
 
 
 # ---------------------------------------------------------------------------

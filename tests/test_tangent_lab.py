@@ -3,11 +3,12 @@ import json
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from mmslab import cli, core, models, pmgh, tangent_lab as tl
 from mmslab.core import FiniteSpace, PointedSpace
 
-from oracles import fiber_pair_mean, leader_medoids
+from oracles import fiber_pair_mean, leader_medoids, projection_line
 
 
 def grid(dim, h, extent, shape="cube"):
@@ -26,6 +27,26 @@ def jittered_grid(extent):
     D = np.linalg.norm(X[:, None] - X[None, :], axis=2)
     w = ps.space.weights * rng.uniform(0.5, 1.5, ps.n)
     return PointedSpace(FiniteSpace(ps.space.points, D, w, resolution=0.05), ps.base)
+
+
+def jitter_all(ps, frac, seed):
+    """ps with every point but the base moved by a uniform +-frac h in each
+    coordinate: no point but the base lies exactly on a line through it."""
+    h = ps.space.declared_resolution()
+    X = ps.space.coords + np.random.default_rng(seed).uniform(-frac * h, frac * h, ps.space.coords.shape)
+    X[ps.base] = ps.space.coords[ps.base]
+    return PointedSpace(FiniteSpace(ps.space.points, cdist(X, X), ps.space.weights, resolution=h),
+                        ps.base)
+
+
+def jittered_bench_grid2(frac, seed):
+    """The bench ``grid2`` space (h = 0.125), jittered. Only the points within
+    window + h = 4.125 of the base are kept: no other point can enter the
+    window of 4 under a jitter below h/4."""
+    ps = models.make(models.parse_spec("euclidean-grid:2d,h=0.125,extent=5,shape=ball"))
+    keep = np.flatnonzero(ps.base_distances() <= 4.0 + 0.125)
+    return jitter_all(PointedSpace(ps.space.subset(keep), int(np.searchsorted(keep, ps.base))),
+                      frac, seed)
 
 
 class TestBlowup:
@@ -155,6 +176,49 @@ class TestDetectLine:
         ps = grid(1, 0.1, 1.0)
         assert tl.detect_line(ps, L=5.0, eps=0.1) is None
 
+    @pytest.mark.parametrize("case", ["lattice", "rows jittered", "all jittered", "sphere"])
+    def test_matches_the_pairwise_oracle(self, case):
+        if case == "lattice":
+            ps, L, eps = grid(2, 0.05, 1.0), 0.9, 0.01
+        elif case == "rows jittered":
+            ps, L, eps = jittered_grid(1.0), 0.9, 0.01
+        elif case == "all jittered":
+            ps, L, eps = jitter_all(grid(2, 0.1, 1.5), 0.05, seed=3), 1.2, 0.15
+        else:
+            ps, L, eps = models.make(models.ModelSpec("sphere", n_points=400)), 2.0, 0.05
+        line = tl.detect_line(ps, L=L, eps=eps)
+        expect = projection_line(ps.space.metric, ps.base, L, eps, ps.space.declared_resolution())
+        assert (line is None) == (expect is None) == (case == "sphere")
+        if line is not None:
+            assert np.array_equal(line.chain, expect[0])
+            assert np.array_equal(line.params, expect[1])
+
+    def test_base_holds_bin_zero(self):
+        # the base sits 0.03 off a sampled segment whose point (0, 0) has
+        # less excess; the base still takes bin 0, at t = 0
+        X = np.array([(0.0, 0.03)] + [(0.1 * k, 0.0) for k in range(-10, 11)])
+        ps = PointedSpace(FiniteSpace(tuple(range(len(X))), cdist(X, X), np.ones(len(X)),
+                                      resolution=0.1), 0)
+        line = tl.detect_line(ps, L=0.8, eps=0.1)
+        assert 11 not in line.chain and line.chain[line.params == 0.0].tolist() == [0]
+
+    def test_params_are_the_projection_of_a_shell_pair(self):
+        # params increase with one chain point per bin of width h, are 0 at
+        # the base and equal t(x) = (d(p, x) - d(q, x))/2 - (d(p, o) - d(q, o))/2
+        # for a pair (p, q) of the shell |d(o, .) - L| <= step
+        ps = jittered_grid(1.0)
+        D, o, L, h = ps.space.metric, ps.base, 0.9, 0.05
+        line = tl.detect_line(ps, L=L, eps=0.01)
+        t = line.params
+        assert np.all(np.diff(t) > 0) and np.all(np.diff(np.rint(t / h)) > 0)
+        assert t[line.chain == o].tolist() == [0.0]
+        # each arm ends at its first point with |t| >= L
+        assert t[-2] < L <= t[-1] and -t[1] < L <= -t[0]
+        shell = np.flatnonzero(np.abs(D[o] - L) <= max(1.2 * h, L / 48))
+        Dp, Do = D[np.ix_(shell, line.chain)], D[shell, o]
+        proj = 0.5 * (Dp[:, None] - Dp[None, :]) - 0.5 * (Do[:, None] - Do[None, :])[:, :, None]
+        assert (proj == t).all(axis=2).any()
+
 
 class TestSplit:
     def test_grid_with_coordinate_line(self):
@@ -227,9 +291,10 @@ class TestSplit:
 
     def test_quotient_metric_is_the_fiber_pair_mean(self):
         # d' averages over all point pairs of two fibers; 23 of the 53 fibers
-        # here hold more than 48 points
+        # here hold more than 48 points. L lies between lattice points, so no
+        # chain point ties with it at |t| = L and the arms end at 1.4
         ps = jittered_grid(1.5)
-        line = tl.detect_line(ps, L=1.35, eps=0.01)
+        line = tl.detect_line(ps, L=1.38, eps=0.01)
         res = tl.split(ps, line)
         idx = res.window_idx
         assert (np.bincount(res.assignment) > 48).sum() >= 20
@@ -298,6 +363,12 @@ class TestEuclideanDimension:
         n, trace = tl.euclidean_dimension(grid(2, 0.25, 6.0, "ball"),
                                           tl.DimensionConfig(N=1.9, window=4.0))
         assert n <= 1
+
+    @pytest.mark.parametrize("frac", [0.01, 0.05])
+    def test_jittered_bench_grid2_counts_two(self, frac):
+        n, trace = tl.euclidean_dimension(jittered_bench_grid2(frac, seed=7),
+                                          tl.DimensionConfig(N=2.0, window=4.0))
+        assert n == 2, trace.stopped_because
 
     def test_trace_serializes(self):
         n, trace = tl.euclidean_dimension(grid(1, 0.1, 8.0),
