@@ -40,7 +40,6 @@ from .pmgh import (
 )
 from .tangent_lab import (
     BlowupSequence,
-    DimensionConfig,
     LineCandidate,
     SplitResult,
     blowup,

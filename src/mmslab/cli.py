@@ -289,9 +289,7 @@ def cmd_split(args) -> int:
 
 def cmd_dimension(args) -> int:
     ps = _load_pointed(args.space)
-    cfg = tangent_lab.DimensionConfig(
-        N=args.N, window=args.window, line_length=args.L, line_eps=args.tol_line)
-    n, trace = tangent_lab.euclidean_dimension(ps, cfg)
+    n, trace = tangent_lab.euclidean_dimension(ps, args.N, window=args.window)
     _write_report(args, {
         "stopped_because": trace.stopped_because,
         "remainder_points": None if trace.remainder is None else trace.remainder.n,
@@ -393,8 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, seed=True)
     sp.add_argument("--N", type=float, required=True)
     sp.add_argument("--window", type=float, default=4.0)
-    sp.add_argument("--L", type=float, default=None)
-    sp.add_argument("--tol-line", dest="tol_line", type=float, default=None)
     sp.set_defaults(fn=cmd_dimension)
 
     sp = sub.add_parser("models", help="model-space registry")

@@ -6,7 +6,8 @@ transport discrepancy between the ball measures, summed over surviving
 radii with weights 2^-k and capped at 1 per radius. Every measure gap is
 the exact teleport LP value through the relation, so isometric balls read
 0. Exhaustive mode certifies the infimum on tiny balls (at most
-EXHAUSTIVE_POINT_LIMIT = 9 ball points in total); anneal mode returns an
+EXHAUSTIVE_POINT_LIMIT = 9 ball points in total) by enumerating the
+maximal cliques of pairs at each distortion level; anneal mode returns an
 upper bound together with its certificate correspondence (at most
 ANNEAL_POINT_LIMIT = 2,500). Larger balls raise PmghBudgetError before any
 search (CLI exit 3).
@@ -43,7 +44,6 @@ DEFAULT_RADII = (1.0, 2.0, 4.0, 8.0)
 TELEPORT_COST = 1.0
 EXHAUSTIVE_POINT_LIMIT = 9     # total ball points per radius, exhaustive mode
 ANNEAL_POINT_LIMIT = 2_500     # total ball points per radius, anneal mode
-EXHAUSTIVE_BUDGET = 2_000_000   # search nodes per radius
 BOUND_MARGIN = 1e-6            # how far a radius's lower bound must pass 1 to skip its search
 
 
@@ -52,7 +52,7 @@ class CoverageError(ValueError):
 
 
 class PmghBudgetError(RuntimeError):
-    """The balls exceed the mode's size limit, or the exhaustive search its budget."""
+    """The balls exceed the mode's size limit."""
 
 
 @dataclass(frozen=True)
@@ -329,6 +329,12 @@ def _feature_match(ball_a: _Ball, ball_b: _Ball) -> tuple[np.ndarray, np.ndarray
     return fa, gb
 
 
+def _profile_pairs(ball_a: _Ball, ball_b: _Ball) -> np.ndarray:
+    """The profile matching as a relation holding the base pair."""
+    return _unique_pairs(*_pair_arrays(*_feature_match(ball_a, ball_b),
+                                       ball_a.base, ball_b.base))
+
+
 def _init_candidates(ball_a: _Ball, ball_b: _Ball):
     """fa/gb proposals plus the MDS embeddings used to produce them.
 
@@ -457,108 +463,46 @@ def _anneal_radius(ball_a: _Ball, ball_b: _Ball, seed: int,
     return _unique_pairs(xs, ys)
 
 
-def _free_flow(wa: np.ndarray, wb: np.ndarray, loc: np.ndarray) -> float:
-    """Maximum mass transportable along the relation arcs alone.
-
-    Max-flow on source -> A -> B -> sink with node capacities wa, wb and
-    uncapacitated relation arcs equals its min cut: the least over subsets
-    S of A of wa(A \\ S) + wb(N(S)), N(S) the relation neighbours of S.
-    Balls hold at most 9 points, so the subsets are enumerated as bitmasks.
-    """
-    S = (np.arange(1 << len(wa))[:, None] >> np.arange(len(wa))) & 1
-    adj = np.zeros((len(wa), len(wb)))
-    adj[loc[:, 0], loc[:, 1]] = 1.0
-    return float(((1 - S) @ wa + ((S @ adj) > 0) @ wb).min())
-
-
-def _exhaustive_radius(ball_a: _Ball, ball_b: _Ball,
-                       upper_pairs: np.ndarray | None, lower: float) -> np.ndarray:
+def _exhaustive_radius(ball_a: _Ball, ball_b: _Ball, lower: float) -> np.ndarray:
     """Relation attaining the exact infimum of distortion + gap over all
-    covering relations (tiny balls), or the seed relation ``upper_pairs``
-    when no relation is valued below 1: every relation valued 1 or more has
-    term 1, so the search starts from min(1, seed value). It stops once the
-    best value reaches ``lower``, a lower bound on that infimum: a later
-    leaf replaces the best only when it is strictly lower."""
+    covering relations that hold the base pair (tiny balls), or the profile
+    matching when no relation is valued below 1 (the term is 1 either way).
+
+    Adding a pair never lowers the distortion and never raises the gap, the
+    glued cost being a minimum over pairs, so among relations of distortion
+    at most delta a maximal one is best: a maximal clique through the base
+    pair of the graph that joins pairs whose mismatch is at most delta
+    (Bron-Kerbosch). The levels delta are the distinct pair mismatches in
+    increasing order. The search stops once half the level plus the teleport
+    cost of the mass difference reaches the best value, or once the best
+    value reaches ``lower``, a lower bound on the infimum; a later clique
+    replaces the best only when it is strictly lower.
+    """
+    import networkx as nx
+
     na, nb = len(ball_a.w), len(ball_b.w)
     base_pair = (ball_a.base, ball_b.base)
     pairs = np.array([base_pair] + [(i, j) for i in range(na) for j in range(nb)
                                     if (i, j) != base_pair])
-    P = len(pairs)
     I, J = pairs[:, 0], pairs[:, 1]
     M = np.abs(ball_a.D[np.ix_(I, I)] - ball_b.D[np.ix_(J, J)])
-    row_bit = np.left_shift(1, I, dtype=np.int64)
-    col_bit = np.left_shift(1, J, dtype=np.int64)
-    # suffix coverage: what rows/cols the remaining pairs can still cover
-    suf_rows = np.zeros(P + 1, dtype=np.int64)
-    suf_cols = np.zeros(P + 1, dtype=np.int64)
-    for p in range(P - 1, -1, -1):
-        suf_rows[p] = suf_rows[p + 1] | row_bit[p]
-        suf_cols[p] = suf_cols[p + 1] | col_bit[p]
-    full_rows, full_cols = (1 << na) - 1, (1 << nb) - 1
-
-    best = math.inf
-    best_pairs: np.ndarray | None = None
-    if upper_pairs is not None:
-        best = min(1.0, sum(_evaluate(ball_a, ball_b, upper_pairs)))
-        best_pairs = upper_pairs
-    nodes = 0
-    # cheapest possible off-relation move: any non-relation arc pays at least
-    # the smaller positive point separation on either side
-    offs = []
-    for D in (ball_a.D, ball_b.D):
-        pos = D[D > 0]
-        if pos.size:
-            offs.append(float(pos.min()))
-    eta = min(min(offs) if offs else 0.0, TELEPORT_COST)
-    mass_a, mass_b = float(ball_a.w.sum()), float(ball_b.w.sum())
-
-    def leaf(chosen: list[int], dist: float):
-        nonlocal best, best_pairs
-        loc = pairs[chosen]
-        # sound lower bound: net mass difference pays the teleport cost and
-        # mass that cannot ride free relation arcs pays at least eta
-        leftover = min(mass_a, mass_b) - _free_flow(ball_a.w, ball_b.w, loc)
-        lb = abs(mass_a - mass_b) * TELEPORT_COST + max(leftover, 0.0) * eta
-        if 0.5 * dist + lb >= best:
-            return
-        gap = _gap_lp(ball_a.D, ball_b.D, ball_a.w, ball_b.w, loc)
-        val = 0.5 * dist + gap
-        if val < best:
-            best = val
-            best_pairs = loc
-
-    def dfs(pos: int, chosen: list[int], dist: float, rows: int, cols: int):
-        nonlocal nodes
-        nodes += 1
-        if nodes > EXHAUSTIVE_BUDGET:
-            raise PmghBudgetError("exhaustive enumeration budget exceeded")
-        if best <= lower:
-            return
-        if 0.5 * dist >= best:
-            return
-        if pos == P:
-            if rows == full_rows and cols == full_cols:
-                leaf(chosen, dist)
-            return
-        if (rows | suf_rows[pos]) != full_rows or (cols | suf_cols[pos]) != full_cols:
-            return
-        # include pairs[pos]
-        new_dist = dist
-        for p in chosen:
-            v = M[p, pos]
-            if v > new_dist:
-                new_dist = v
-        if 0.5 * new_dist < best:
-            chosen.append(pos)
-            dfs(pos + 1, chosen, new_dist, rows | row_bit[pos], cols | col_bit[pos])
-            chosen.pop()
-        # exclude pairs[pos] (the base pair at pos 0 is mandatory)
-        if pos > 0:
-            dfs(pos + 1, chosen, dist, rows, cols)
-
-    dfs(1, [0], 0.0, int(row_bit[0]), int(col_bit[0]))
-    assert best_pairs is not None
-    return best_pairs
+    mass_part = TELEPORT_COST * abs(float(ball_a.w.sum()) - float(ball_b.w.sum()))
+    best, best_pairs = 1.0, None
+    for delta in np.unique(M):
+        if 0.5 * delta + mass_part >= best:
+            break
+        near = np.flatnonzero(M[0] <= delta)  # the base pair is near[0] = 0
+        joined = (M[np.ix_(near, near)] <= delta) & ~np.eye(len(near), dtype=bool)
+        for clique in nx.find_cliques(nx.from_numpy_array(joined), nodes=[0]):
+            loc = pairs[near[sorted(clique)]]
+            if len(np.unique(loc[:, 0])) < na or len(np.unique(loc[:, 1])) < nb:
+                continue
+            val = 0.5 * delta + _gap_lp(ball_a.D, ball_b.D, ball_a.w, ball_b.w, loc)
+            if val < best:
+                best, best_pairs = val, loc
+                if best <= lower:
+                    return loc
+    return _profile_pairs(ball_a, ball_b) if best_pairs is None else best_pairs
 
 
 # ---------------------------------------------------------------------------
@@ -636,11 +580,10 @@ def pmgh_distance(
     ``proposals`` moves, seeded by ``seed`` plus the radius index; the value
     is an upper bound backed by ``certificates`` (one relation per radius) and
     ``lower_bound`` is the weighted sum of the per-radius bounds below.
-    ``mode="exhaustive"`` enumerates every covering relation, with at most
-    EXHAUSTIVE_BUDGET (2,000,000) search nodes per radius, starting from a
-    short anneal and stopping once it reaches the radius's bound; the value
-    is exact and ``lower_bound`` equals it, and past the budget it raises
-    PmghBudgetError.
+    ``mode="exhaustive"`` searches each radius by ``_exhaustive_radius``
+    (the maximal cliques of pairs at each distortion level), stopping once
+    it reaches the radius's bound; the value is exact, ``lower_bound``
+    equals it, and ``seed``, ``proposals`` and ``restarts`` are unused.
 
     Each radius first gets a relation-free lower bound on distortion +
     measure_gap (``_lower_bound``: the base-distance profiles, the
@@ -689,15 +632,13 @@ def pmgh_distance(
         if bound > 1.0 + BOUND_MARGIN:
             # saturated: the term is 1 for every relation, so certify it
             # with the profile matching instead of searching
-            loc = _unique_pairs(*_pair_arrays(*_feature_match(ball_x, ball_y),
-                                              ball_x.base, ball_y.base))
+            loc = _profile_pairs(ball_x, ball_y)
             dist, gap = _evaluate(ball_x, ball_y, loc)
             if dist + gap < 1.0:
                 loc = None
         if loc is None:
             if exact:
-                seed_pairs = _anneal_radius(ball_x, ball_y, seed + k, proposals=2000, restarts=1)
-                loc = _exhaustive_radius(ball_x, ball_y, seed_pairs, bound)
+                loc = _exhaustive_radius(ball_x, ball_y, bound)
             else:
                 loc = _anneal_radius(ball_x, ball_y, seed + k,
                                      proposals=proposals, restarts=restarts)

@@ -31,7 +31,6 @@ __all__ = [
     "SplitResult",
     "split",
     "LineTooShortError",
-    "DimensionConfig",
     "DimensionTrace",
     "euclidean_dimension",
 ]
@@ -529,29 +528,6 @@ def _product_measure_defect(b, ww, assign, dprime, wq, base_rep, window) -> floa
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class DimensionConfig:
-    """Parameters of the blow-up / detect-line / split iteration.
-
-    Each stage blows the current space up at one radius (1 at the first
-    stage; later stages zoom the quotient back out to fill the window) with
-    at least 3 sample spacings per window radius. It looks for a chain
-    reaching ``line_length`` on each side of the base with
-    :func:`detect_line` (projection bins of width h along the excess tube of
-    the narrowest end pair, certified by the additive defect ``eps_line`` <=
-    ``line_eps``) and splits it off with :func:`split` (a least-squares
-    Busemann coordinate, and a ``delta_metric`` exact over all pairs). A
-    stage is inconclusive when that defect exceeds max(8h, 0.05 window); the
-    iteration stops when a quotient has fewer than 4 points or a diameter
-    below 2.5 h.
-    """
-
-    N: float                              # dimension budget; at most floor(N) factors
-    window: float = 4.0
-    line_length: float | None = None      # default 0.9 * window
-    line_eps: float | None = None         # default max(1.5h, 0.025 * window)
-
-
-@dataclass(frozen=True)
 class StageRecord:
     stage: int
     member_radius: float
@@ -571,14 +547,26 @@ class DimensionTrace:
     stopped_because: str
 
 
-def euclidean_dimension(ps: PointedSpace, config: DimensionConfig) -> tuple[int, DimensionTrace]:
+def euclidean_dimension(ps: PointedSpace, N: float,
+                        window: float = 4.0) -> tuple[int, DimensionTrace]:
     """Iterate blow-up, line detection and splitting to count line factors.
 
+    Each stage blows the current space up at one radius (1 at the first
+    stage; later stages zoom the quotient back out to fill the window) with
+    at least 3 sample spacings per window radius. It looks for a chain
+    reaching 0.9 window on each side of the base with :func:`detect_line`
+    (projection bins of width h along the excess tube of the narrowest end
+    pair, certified by the additive defect ``eps_line`` <= max(1.5h, 0.025
+    window)) and splits it off with :func:`split` (a least-squares Busemann
+    coordinate, and a ``delta_metric`` exact over all pairs). A stage is
+    inconclusive when that defect exceeds max(8h, 0.05 window).
+
     Stops when no line is found, a split is refused or exceeds its defect
-    tolerance, the quotient degenerates, or the dimension budget floor(N)
-    is reached. The returned count never exceeds floor(N).
+    tolerance, the quotient degenerates (fewer than 4 points or a diameter
+    below 2.5 h), or the dimension budget floor(N) is reached. The returned
+    count never exceeds floor(N).
     """
-    budget = int(math.floor(config.N))
+    budget = int(math.floor(N))
     records: list[StageRecord] = []
     current = ps
     n = 0
@@ -587,8 +575,8 @@ def euclidean_dimension(ps: PointedSpace, config: DimensionConfig) -> tuple[int,
         radius = 1.0
         if stage > 0:
             # zoom the (smaller) quotient back out to fill the window
-            radius = min(1.0, 0.95 * float(current.base_distances().max()) / config.window)
-        seq = blowup(current, (radius,), window=config.window, min_cells=3.0)
+            radius = min(1.0, 0.95 * float(current.base_distances().max()) / window)
+        seq = blowup(current, (radius,), window=window, min_cells=3.0)
         member = seq.finest_usable()
         if member is None:
             reason = "no usable blow-up member"
@@ -597,9 +585,8 @@ def euclidean_dimension(ps: PointedSpace, config: DimensionConfig) -> tuple[int,
             break
         Y = member.space
         h = Y.space.declared_resolution()
-        L = config.line_length if config.line_length is not None else 0.9 * config.window
-        eps = config.line_eps if config.line_eps is not None else max(1.5 * h, 0.025 * config.window)
-        line = detect_line(Y, L, eps)
+        eps = max(1.5 * h, 0.025 * window)
+        line = detect_line(Y, 0.9 * window, eps)
         if line is None:
             reason = "no line found"
             records.append(StageRecord(stage, member.radius, Y.n, None, eps,
@@ -612,7 +599,7 @@ def euclidean_dimension(ps: PointedSpace, config: DimensionConfig) -> tuple[int,
             records.append(StageRecord(stage, member.radius, Y.n, line.length,
                                        line.eps_line, None, None, None, "refused"))
             break
-        tol = max(8.0 * h, 0.05 * config.window)
+        tol = max(8.0 * h, 0.05 * window)
         if res.delta_metric > tol:
             reason = f"split defect {res.delta_metric:.3g} above tolerance {tol:.3g}"
             records.append(StageRecord(stage, member.radius, Y.n, line.length,

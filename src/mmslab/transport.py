@@ -95,10 +95,6 @@ class Coupling:
         np.add.at(out, self.cols, self.gamma.sum(axis=0))
         return out
 
-    def cost_squared(self, metric: np.ndarray) -> float:
-        D = metric[np.ix_(self.rows, self.cols)]
-        return float((self.gamma * D * D).sum())
-
     def atoms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(i, j, mass) triplets with positive mass, in full-space indices."""
         ii, jj = np.nonzero(self.gamma > 0)

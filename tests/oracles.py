@@ -384,16 +384,6 @@ def nx_shortest_path_matrix(edges: list[tuple[int, int, float]], n: int) -> np.n
     return out
 
 
-def nx_relation_flow(wa: np.ndarray, wb: np.ndarray, pairs: np.ndarray) -> float:
-    """Max flow source -> A -> B -> sink with node capacities wa, wb and
-    uncapacitated relation arcs, by networkx's preflow-push."""
-    G = nx.DiGraph()
-    G.add_edges_from(("s", ("a", i), {"capacity": float(w)}) for i, w in enumerate(wa))
-    G.add_edges_from((("b", j), "t", {"capacity": float(w)}) for j, w in enumerate(wb))
-    G.add_edges_from((("a", int(i)), ("b", int(j))) for i, j in pairs)
-    return float(nx.maximum_flow_value(G, "s", "t"))
-
-
 # ---------------------------------------------------------------------------
 # Tiny-space generators
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports is used in that module, every
 module-level private name is referenced somewhere in the package, every
-function reads each of its parameters, some caller sets each parameter
+module-level constant is read somewhere in the package, every function
+reads each of its parameters, some caller sets each parameter
 that has a default, one call site solves every LP, no code probes an
 object for an attribute, and the CLI maps every exception class the package
 defines to a documented exit code."""
@@ -52,8 +53,8 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 
-def _private_defs(tree: ast.Module) -> dict[str, int]:
-    """Module-level private function, class and constant names -> line."""
+def _module_defs(tree: ast.Module) -> dict[str, int]:
+    """Module-level function, class and constant names -> line."""
     out = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -63,9 +64,7 @@ def _private_defs(tree: ast.Module) -> dict[str, int]:
             targets = [n.id for t in nodes for n in ast.walk(t) if isinstance(n, ast.Name)]
         else:
             continue
-        for name in targets:
-            if name.startswith("_") and not name.startswith("__"):
-                out[name] = node.lineno
+        out |= dict.fromkeys(targets, node.lineno)
     return out
 
 
@@ -88,10 +87,20 @@ PACKAGE_REFS = set().union(*(_referenced(ast.parse(p.read_text()))
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_orphaned_private_names(path):
-    defs = _private_defs(ast.parse(path.read_text()))
+    defs = _module_defs(ast.parse(path.read_text()))
     orphans = sorted(f"{name} (line {line})" for name, line in defs.items()
-                     if name not in PACKAGE_REFS)
+                     if name.startswith("_") and not name.startswith("__")
+                     and name not in PACKAGE_REFS)
     assert not orphans, f"{path.name} defines private names nothing uses: {orphans}"
+
+
+def test_no_orphaned_constants():
+    # an UPPER_CASE module constant nothing reads is a limit or default that
+    # no longer limits anything
+    orphans = [f"{path.name} {name} (line {line})" for path in sorted(SRC.glob("*.py"))
+               for name, line in _module_defs(ast.parse(path.read_text())).items()
+               if name.isupper() and name not in PACKAGE_REFS]
+    assert not orphans, f"module constants nothing reads: {orphans}"
 
 
 def _is_abstract(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:

@@ -8,8 +8,8 @@ from mmslab import cli, core, models, pmgh, tangent_lab
 from mmslab.core import FiniteSpace, PointedSpace
 from mmslab.pmgh import Correspondence, _ball, _gap_lp
 
-from oracles import (bruteforce_corr_infimum, dense_teleport_lp, nx_relation_flow,
-                     permuted_copy, random_euclidean_space)
+from oracles import (bruteforce_corr_infimum, dense_teleport_lp, permuted_copy,
+                     random_euclidean_space)
 
 
 def two_point(gap, weights=(1.0, 1.0), base=0):
@@ -312,13 +312,12 @@ class TestLowerBound:
     def test_below_exhaustive_infimum(self):
         rng = np.random.default_rng(51)
         bites = 0
-        for seed in range(60):
+        for _ in range(60):
             na = int(rng.integers(1, 5))
             A, B = random_pair(rng, na, int(rng.integers(1, 9 - na)))
             ball_a, ball_b = _ball(A, 100.0), _ball(B, 100.0)
             bound = pmgh._lower_bound(ball_a, ball_b)
-            upper = pmgh._anneal_radius(ball_a, ball_b, seed, proposals=500, restarts=1)
-            loc = pmgh._exhaustive_radius(ball_a, ball_b, upper, 0.0)
+            loc = pmgh._exhaustive_radius(ball_a, ball_b, 0.0)
             assert bound <= sum(pmgh._evaluate(ball_a, ball_b, loc)) + 1e-9
             mass_part = abs(ball_a.w.sum() - ball_b.w.sum()) * pmgh.TELEPORT_COST
             bites += bound > mass_part + 1e-3
@@ -335,37 +334,76 @@ class TestLowerBound:
             assert bound <= sum(pmgh._evaluate(ball_a, ball_b, loc)) + 1e-9
 
     def test_exhaustive_stops_at_the_bound(self, monkeypatch):
-        # B is A with 1.5 times the mass: the identity relation attains the
-        # bound (distortion 0, gap = the mass difference), so once the seed
-        # relation reaches it no node past the first is needed
-        D = np.array([[0.0, 0.25, 0.5, 0.75], [0.25, 0.0, 0.25, 0.5],
-                      [0.5, 0.25, 0.0, 0.25], [0.75, 0.5, 0.25, 0.0]])
-        A = PointedSpace(FiniteSpace((0, 1, 2, 3), D, np.full(4, 0.125)), 1)
-        B = PointedSpace(FiniteSpace((0, 1, 2, 3), D, np.full(4, 0.1875)), 1)
+        # B is A with twice the mass on a path symmetric about its base: the
+        # identity and the reflection both attain the bound (distortion 0,
+        # gap = the mass difference), so a search that stops at the bound
+        # solves one gap LP where the full search solves two
+        D = np.array([[0.0, 0.25, 0.5], [0.25, 0.0, 0.25], [0.5, 0.25, 0.0]])
+        A = PointedSpace(FiniteSpace((0, 1, 2), D, np.full(3, 0.125)), 1)
+        B = PointedSpace(FiniteSpace((0, 1, 2), D, np.full(3, 0.25)), 1)
         ball_a, ball_b = _ball(A, 2.0), _ball(B, 2.0)
         bound = pmgh._lower_bound(ball_a, ball_b)
-        assert bound == 0.25
-        seed_pairs = np.stack([np.arange(4), np.arange(4)], axis=1)
-        searched = pmgh._exhaustive_radius(ball_a, ball_b, seed_pairs, 0.0)
-        monkeypatch.setattr(pmgh, "EXHAUSTIVE_BUDGET", 1)
-        stopped = pmgh._exhaustive_radius(ball_a, ball_b, seed_pairs, bound)
-        assert np.array_equal(stopped, searched)
-        with pytest.raises(pmgh.PmghBudgetError):
-            pmgh._exhaustive_radius(ball_a, ball_b, seed_pairs, 0.0)
+        assert bound == 0.375
+        calls = []
 
-    def test_exhaustive_stops_at_the_cap(self, monkeypatch):
-        # bound 0.757, seed relation 1.802, optimum 1.219: every relation is
-        # valued 1 or more, so the term is 1 and the search need only look
-        # below 1. From 1 it takes about 21,000 nodes; from the seed's value
-        # it took about 415,000 and ran out of this budget
+        def counted(*args):
+            calls.append(1)
+            return _gap_lp(*args)
+
+        monkeypatch.setattr(pmgh, "_gap_lp", counted)
+        searched = pmgh._exhaustive_radius(ball_a, ball_b, 0.0)
+        assert len(calls) == 2
+        calls.clear()
+        stopped = pmgh._exhaustive_radius(ball_a, ball_b, bound)
+        assert len(calls) == 1
+        assert np.array_equal(stopped, searched)
+        assert sum(pmgh._evaluate(ball_a, ball_b, stopped)) == bound
+
+    def test_exhaustive_stops_at_the_cap(self):
+        # bound 0.757, optimum 1.219: every relation is valued 1 or more, so
+        # the term is 1, certified by the profile matching
         A, B = random_pair(np.random.default_rng(7), 5, 4)
         ball_a, ball_b = _ball(A, 100.0), _ball(B, 100.0)
         bound = pmgh._lower_bound(ball_a, ball_b)
-        seed_pairs = pmgh._anneal_radius(ball_a, ball_b, 1, proposals=2000, restarts=1)
-        assert bound < 1.0 < sum(pmgh._evaluate(ball_a, ball_b, seed_pairs))
-        monkeypatch.setattr(pmgh, "EXHAUSTIVE_BUDGET", 100_000)
-        loc = pmgh._exhaustive_radius(ball_a, ball_b, seed_pairs, bound)
+        assert bound < 1.0
+        loc = pmgh._exhaustive_radius(ball_a, ball_b, bound)
+        assert np.array_equal(loc, pmgh._profile_pairs(ball_a, ball_b))
         assert min(1.0, sum(pmgh._evaluate(ball_a, ball_b, loc))) == 1.0
+
+
+class TestExhaustive:
+    """The maximal-clique search against plain subset enumeration."""
+
+    def test_matches_bruteforce_randomized(self):
+        rng = np.random.default_rng(56)
+        below_cap = 0
+        for _ in range(30):
+            na = int(rng.integers(1, 5))
+            A, B = random_pair(rng, na, int(rng.integers(1, 8 - na)))
+            ball_a, ball_b = _ball(A, 100.0), _ball(B, 100.0)
+            loc = pmgh._exhaustive_radius(ball_a, ball_b, pmgh._lower_bound(ball_a, ball_b))
+            expect = bruteforce_corr_infimum(
+                ball_a.D, ball_a.w, ball_a.base, ball_b.D, ball_b.w, ball_b.base,
+                lambda loc: _gap_lp(ball_a.D, ball_b.D, ball_a.w, ball_b.w, loc))
+            value = sum(pmgh._evaluate(ball_a, ball_b, loc))
+            assert min(1.0, value) == pytest.approx(min(1.0, expect), abs=1e-9)
+            below_cap += expect < 1.0
+        assert below_cap >= 15
+
+    def test_independent_of_seed(self):
+        # the first pair is the cap case above, where no relation is valued
+        # below 1 at radius 100
+        rng = np.random.default_rng(57)
+        cases = [random_pair(np.random.default_rng(7), 5, 4)]
+        cases += [random_pair(rng, na, int(rng.integers(2, 10 - na)))
+                  for na in rng.integers(2, 6, size=4)]
+        for A, B in cases:
+            first, second = (pmgh.pmgh_distance(A, B, R_grid=(0.5, 1.0, 2.0, 100.0),
+                                                mode="exhaustive", seed=seed)
+                             for seed in (0, 1))
+            assert first.value == second.value
+            assert all(np.array_equal(c.pairs, d.pairs)
+                       for c, d in zip(first.certificates, second.certificates))
 
 
 class TestSaturatedRadii:
@@ -457,19 +495,6 @@ class TestFailFast:
         A = two_point(1.0)
         with pytest.raises(ValueError, match="radius"):
             pmgh.pmgh_distance(A, A, R_grid=(1.0, R))
-
-
-def test_free_flow_matches_max_flow_oracle():
-    # the exhaustive search's min-cut bound equals a max-flow solver's value
-    rng = np.random.default_rng(0)
-    for _ in range(300):
-        na = int(rng.integers(1, 9))
-        nb = int(rng.integers(1, 10 - na))
-        wa, wb = rng.random(na), rng.random(nb)
-        every = np.array([(i, j) for i in range(na) for j in range(nb)])
-        loc = every[rng.choice(len(every), int(rng.integers(1, len(every) + 1)), replace=False)]
-        assert pmgh._free_flow(wa, wb, loc) == pytest.approx(
-            nx_relation_flow(wa, wb, loc), abs=1e-12)
 
 
 class TestConvergenceDiagnostic:

@@ -344,34 +344,28 @@ class TestIteratedTangent:
 
 class TestEuclideanDimension:
     def test_r1(self):
-        n, trace = tl.euclidean_dimension(grid(1, 0.1, 8.0),
-                                          tl.DimensionConfig(N=1.0, window=4.0))
+        n, trace = tl.euclidean_dimension(grid(1, 0.1, 8.0), N=1.0)
         assert n == 1
 
     def test_r2(self):
-        n, trace = tl.euclidean_dimension(grid(2, 0.25, 6.0, "ball"),
-                                          tl.DimensionConfig(N=2.0, window=4.0))
+        n, trace = tl.euclidean_dimension(grid(2, 0.25, 6.0, "ball"), N=2.0)
         assert n == 2
 
     def test_budget_is_hard_cap(self):
         # N = 1 on a 2-D grid: stop at one factor even though more lines exist
-        n, trace = tl.euclidean_dimension(grid(2, 0.25, 6.0, "ball"),
-                                          tl.DimensionConfig(N=1.0, window=4.0))
+        n, trace = tl.euclidean_dimension(grid(2, 0.25, 6.0, "ball"), N=1.0)
         assert n <= 1
 
     def test_fractional_budget_floor(self):
-        n, trace = tl.euclidean_dimension(grid(2, 0.25, 6.0, "ball"),
-                                          tl.DimensionConfig(N=1.9, window=4.0))
+        n, trace = tl.euclidean_dimension(grid(2, 0.25, 6.0, "ball"), N=1.9)
         assert n <= 1
 
     @pytest.mark.parametrize("frac", [0.01, 0.05])
     def test_jittered_bench_grid2_counts_two(self, frac):
-        n, trace = tl.euclidean_dimension(jittered_bench_grid2(frac, seed=7),
-                                          tl.DimensionConfig(N=2.0, window=4.0))
+        n, trace = tl.euclidean_dimension(jittered_bench_grid2(frac, seed=7), N=2.0)
         assert n == 2, trace.stopped_because
 
     def test_trace_serializes(self):
-        n, trace = tl.euclidean_dimension(grid(1, 0.1, 8.0),
-                                          tl.DimensionConfig(N=1.0, window=4.0))
+        n, trace = tl.euclidean_dimension(grid(1, 0.1, 8.0), N=1.0)
         stages = json.loads(json.dumps(cli._plain(trace.records), allow_nan=False))
         assert stages and all("status" in st for st in stages)
