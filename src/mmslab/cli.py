@@ -155,7 +155,7 @@ def cmd_cdstar(args) -> int:
         ps.space, mu0, mu1, K=args.K, N=args.N,
         t_grid=_floats(args.t_grid),
         nprime_grid=_floats(args.nprime_grid) if args.nprime_grid else None,
-        tol=args.tol_cd, mode=args.mode, plan_search=args.plan_search,
+        tol=args.tol_cd, mode=args.mode,
     )
     w = rep.worst
     _write_report(args, {
@@ -224,11 +224,11 @@ def cmd_ghdist(args) -> int:
         A = tangent_lab.normalize_window(A, args.window)
         B = tangent_lab.normalize_window(B, args.window)
     est = pmgh.pmgh_distance(A, B, R_grid=_floats(args.radii) if args.radii else None,
-                             mode=args.mode, seed=args.seed)
-    _write_report(args, {"value": est.value, "mode": est.mode, "lower_bound": est.lower_bound,
+                             seed=args.seed)
+    _write_report(args, {"value": est.value, "exact": est.exact, "lower_bound": est.lower_bound,
                          "per_radius": est.per_radius,
                          "certificates": [c.pairs for c in est.certificates]})
-    print(f"surrogate distance: {est.value:.6g} (mode {est.mode})")
+    print(f"surrogate distance: {est.value:.6g} (lower bound {est.lower_bound:.6g})")
     return EXIT_OK
 
 
@@ -345,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--Nprime-grid", dest="nprime_grid", default="")
     sp.add_argument("--tol-cd", dest="tol_cd", type=float, default=None)
     sp.add_argument("--mode", choices=("two_sided", "dirac_target"), default="two_sided")
-    sp.add_argument("--plan-search", choices=("single", "exhaustive"), default="single")
     sp.set_defaults(fn=cmd_cdstar)
 
     sp = sub.add_parser("prolong", help="ball-to-center transport experiment")
@@ -367,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("space_b")
     common(sp, space=False, seed=True)
     sp.add_argument("--radii", default="")
-    sp.add_argument("--mode", choices=("anneal", "exhaustive"), default="anneal")
     sp.add_argument("--normalize", action="store_true")
     sp.add_argument("--window", type=float, default=8.0)
     sp.set_defaults(fn=cmd_ghdist)

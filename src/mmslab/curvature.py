@@ -4,8 +4,10 @@ The checker evaluates, along a computed optimal geodesic plan, whether the
 interpolated measures satisfy the sigma-weighted convexity inequality that
 defines the reduced curvature-dimension bound. Because the definition
 quantifies existentially over optimal plans, a violation is always reported
-as evidence about the computed plan, never as a disproof for the space; an
-exhaustive mode enumerates every vertex-optimal plan on tiny instances.
+as evidence about the computed plan, never as a disproof for the space. When
+the LP vertex violates it on an instance of at most ENUMERATION_POINT_LIMIT
+support points, every vertex-optimal plan is checked instead, and the best
+one is reported.
 """
 from __future__ import annotations
 
@@ -38,6 +40,7 @@ __all__ = [
 ]
 
 _PI2 = math.pi * math.pi
+ENUMERATION_POINT_LIMIT = 12   # support points of mu0 and mu1 together
 
 
 class SingularMarginalError(ValueError):
@@ -219,7 +222,6 @@ def cdstar_check(
     nprime_grid: Sequence[float] | None = None,
     tol: float | None = None,
     mode: str = "two_sided",
-    plan_search: str = "single",
 ) -> CdReport:
     """Check the sigma-weighted entropy-convexity inequality on a grid.
 
@@ -230,8 +232,14 @@ def cdstar_check(
     must be finite and nonnegative).
     ``mode='dirac_target'`` keeps only the backward density term, mirroring
     the one-sided estimate used when the target is a Dirac.
-    ``plan_search='exhaustive'`` re-runs the table over every vertex-optimal
-    plan (instances up to 12 support points) and reports the best one.
+
+    The table is first built along the LP vertex (``plan_provenance``
+    ``search`` "single"). Since the condition asks only for some optimal
+    plan, a vertex that violates beyond tol on an instance of at most
+    ENUMERATION_POINT_LIMIT support points is followed by every
+    vertex-optimal plan (``enumerate_optimal_plans``, ``search``
+    "exhaustive"), and the best plan found is reported; if the enumeration
+    exceeds its budget, a violation is reported as inconclusive.
     """
     mu0 = as_probability(space, mu0)
     mu1 = as_probability(space, mu1)
@@ -247,47 +255,37 @@ def cdstar_check(
     elif not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol {tol!r} must be finite and nonnegative")
 
+    def table(coupling: Coupling) -> tuple[float, list[CdRow]]:
+        rows = _slack_rows(space, geodesic_plan(space, coupling), mu0, mu1, K,
+                           t_grid, nprime_grid, mode)
+        return min(r.slack for r in rows), rows
+
     base = w2(space, mu0, mu1, solver="exact")
-    plans: list[tuple[str, Coupling]] = [("lp-vertex", base.plan)]
-    provenance: dict = {"solver": "exact", "mode": mode, "search": plan_search,
-                        "cost_squared": base.cost_squared}
-    verdict_inconclusive = False
-    if plan_search == "exhaustive":
+    provenance: dict = {"solver": "exact", "mode": mode, "search": "single",
+                        "cost_squared": base.cost_squared, "plan": "lp-vertex"}
+    best_min, best_rows = table(base.plan)
+    inconclusive = False
+    support = np.count_nonzero(mu0) + np.count_nonzero(mu1)
+    if best_min < -tol and support <= ENUMERATION_POINT_LIMIT:
+        provenance["search"] = "exhaustive"
         try:
-            extra = enumerate_optimal_plans(space, mu0, mu1)
-            plans = [(f"vertex-{k}", p) for k, p in enumerate(extra)]
-            provenance["enumerated_plans"] = len(extra)
+            plans = enumerate_optimal_plans(space, mu0, mu1)
+            provenance["enumerated_plans"] = len(plans)
         except EnumerationBudgetError as exc:
             provenance["enumeration_error"] = str(exc)
-            verdict_inconclusive = True
-    elif plan_search != "single":
-        raise ValueError("plan_search must be 'single' or 'exhaustive'")
+            plans, inconclusive = [], True
+        for k, coupling in enumerate(plans):
+            worst, rows = table(coupling)
+            if worst > best_min:
+                best_min, best_rows, provenance["plan"] = worst, rows, f"vertex-{k}"
+            if worst >= -tol:
+                break  # this plan already satisfies the inequality everywhere
 
-    best_rows: list[CdRow] | None = None
-    best_min = -math.inf
-    best_tag = ""
-    for tag, coupling in plans:
-        lifted = geodesic_plan(space, coupling)
-        rows = _slack_rows(space, lifted, mu0, mu1, K, t_grid, nprime_grid, mode)
-        worst = min(r.slack for r in rows)
-        if best_rows is None or worst > best_min:
-            best_min = worst
-            best_rows = rows
-            best_tag = tag
-        if worst >= -tol:
-            break  # this plan already satisfies the inequality everywhere
-
-    assert best_rows is not None
-    provenance["plan"] = best_tag
-    worst_row = min(best_rows, key=lambda r: r.slack)
-    if verdict_inconclusive and best_min < -tol:
-        verdict = "inconclusive"
-    else:
-        verdict = "holds" if best_min >= -tol else "violated"
+    verdict = "holds" if best_min >= -tol else "inconclusive" if inconclusive else "violated"
     return CdReport(
         K=float(K), N=float(N), t_grid=tuple(t_grid), nprime_grid=tuple(nprime_grid),
         rows=tuple(best_rows), verdict=verdict,
-        worst=None if verdict == "holds" else worst_row,
+        worst=None if verdict == "holds" else min(best_rows, key=lambda r: r.slack),
         tol=float(tol), plan_provenance=provenance,
         notes=(_H_NOTE, _EXISTENCE_NOTE),
     )
@@ -297,51 +295,19 @@ def cdstar_check(
 # Optimal-face vertex enumeration
 # ---------------------------------------------------------------------------
 
-def _tree_flows(nodes: list[tuple], edges: list[tuple], demand: dict) -> dict | None:
-    """Unique flow on a spanning tree meeting the demands, keyed by (row,
-    column) index pairs and oriented row -> column, or None if a flow is
-    negative or the tree's demands do not balance."""
-    adj: dict = {v: [] for v in nodes}
-    for k, (u, v) in enumerate(edges):
-        adj[u].append((v, k))
-        adj[v].append((u, k))
-    need = dict(demand)
-    deg = {v: len(adj[v]) for v in nodes}
-    used = [False] * len(edges)
-    flows: dict[tuple[int, int], float] = {}
-    stack = [v for v in nodes if deg[v] == 1]
-    while stack:
-        leaf = stack.pop()
-        edge = next(((o, k) for o, k in adj[leaf] if not used[k]), None)
-        if edge is None:
-            continue
-        other, k = edge
-        used[k] = True
-        f = need[leaf]  # what the leaf sends to the other end
-        if leaf[0] == "r":
-            flows[leaf[1], other[1]] = f
-        else:
-            flows[other[1], leaf[1]] = -f
-        need[leaf] = 0.0
-        need[other] += f
-        deg[leaf] -= 1
-        deg[other] -= 1
-        if deg[other] == 1:
-            stack.append(other)
-    if any(f < -1e-12 for f in flows.values()) or any(abs(r) > 1e-9 for r in need.values()):
-        return None
-    return {e: max(f, 0.0) for e, f in flows.items() if abs(f) > 0}
-
-
 def enumerate_optimal_plans(space: FiniteSpace, mu0, mu1) -> list[Coupling]:
     """All vertex-optimal transport plans of a tiny instance.
 
     Solves the LP once, keeps the zero-reduced-cost bipartite subgraph
     (reduced cost at most 1e-8 times the largest cost, which carries the
     whole optimal face) and enumerates its spanning trees per balanced
-    component; each tree with nonnegative flows is a vertex. Instances are
-    limited to 12 support points total; EnumerationBudgetError is raised
-    past 50,000 spanning trees in one component or vertex combinations.
+    component; each tree with nonnegative flows is a vertex. Nodes are the
+    support rows 0..n0-1 followed by the columns; a tree's flows are its
+    subtree sums of supply (a row's mass, minus a column's) in DFS
+    post-order, each carried to the node's parent. Instances are limited
+    to ENUMERATION_POINT_LIMIT support points in total;
+    EnumerationBudgetError is raised past 50,000 spanning trees in one
+    component or vertex combinations.
     """
     import networkx as nx
 
@@ -349,67 +315,58 @@ def enumerate_optimal_plans(space: FiniteSpace, mu0, mu1) -> list[Coupling]:
     mu1 = as_probability(space, mu1)
     rows = np.flatnonzero(mu0 > 0)
     cols = np.flatnonzero(mu1 > 0)
-    if len(rows) + len(cols) > 12:
-        raise EnumerationBudgetError(
-            f"{len(rows) + len(cols)} support points exceed the 12-point exhaustive limit")
+    n0, n1 = len(rows), len(cols)
+    if n0 + n1 > ENUMERATION_POINT_LIMIT:
+        raise EnumerationBudgetError(f"{n0 + n1} support points exceed the "
+                                     f"{ENUMERATION_POINT_LIMIT}-point enumeration limit")
     res = w2(space, mu0, mu1, solver="exact")
     u, v = res.meta["u"], res.meta["v"]
     C = space.metric[np.ix_(rows, cols)] ** 2
     scale = max(1.0, float(np.abs(C).max()))
     red = C - u[:, None] - v[None, :]
-    opt_edges = np.argwhere(red <= 1e-8 * scale)
-
     G = nx.Graph()
-    G.add_nodes_from(("r", int(i)) for i in range(len(rows)))
-    G.add_nodes_from(("c", int(j)) for j in range(len(cols)))
-    G.add_edges_from((("r", int(i)), ("c", int(j))) for i, j in opt_edges)
+    G.add_nodes_from(range(n0 + n1))
+    G.add_edges_from((int(i), n0 + int(j)) for i, j in np.argwhere(red <= 1e-8 * scale))
+    supply = np.concatenate([mu0[rows], -mu1[cols]])
 
-    a, b = mu0[rows], mu1[cols]
-    per_component: list[list[dict]] = []
+    per_component: list[list[np.ndarray]] = []
     for comp in nx.connected_components(G):
-        sub = G.subgraph(comp)
-        nodes = list(sub.nodes)
-        demand = {}
-        for node in nodes:
-            side, k = node
-            demand[node] = a[k] if side == "r" else -b[k]
-        sols: list[dict] = []
+        root = min(comp)
+        sols: list[np.ndarray] = []
         seen: set = set()
-        count = 0
-        for tree in nx.SpanningTreeIterator(sub):
-            count += 1
+        for count, tree in enumerate(nx.SpanningTreeIterator(G.subgraph(comp)), start=1):
             if count > 50_000:
                 raise EnumerationBudgetError("spanning-tree budget exceeded")
-            edges = list(tree.edges)
-            flow = _tree_flows(nodes, edges, demand)
-            if flow is None:
+            parent = nx.dfs_predecessors(tree, root)
+            total = supply.copy()
+            gamma = np.zeros((n0, n1))
+            for x in nx.dfs_postorder_nodes(tree, root):
+                if x == root:
+                    break  # the root comes last in post-order
+                p = parent[x]
+                total[p] += total[x]
+                if x < n0:
+                    gamma[x, p - n0] = total[x]
+                else:
+                    gamma[p, x - n0] = -total[x]
+            if abs(total[root]) > 1e-9 or (gamma < -1e-12).any():
                 continue
-            key = tuple(sorted((e, round(f, 10)) for e, f in flow.items()))
-            if key in seen:
-                continue
-            seen.add(key)
-            sols.append(flow)
+            gamma = np.maximum(gamma, 0.0)
+            key = (np.round(gamma, 10) + 0.0).tobytes()  # + 0.0 folds -0.0 into 0.0
+            if key not in seen:
+                seen.add(key)
+                sols.append(gamma)
         if not sols:
-            raise RuntimeError(f"an optimal-face component of {len(nodes)} nodes "
+            raise RuntimeError(f"an optimal-face component of {len(comp)} nodes "
                                "carries no nonnegative tree flow")
         per_component.append(sols)
 
-    total = 1
-    for sols in per_component:
-        total *= len(sols)
-        if total > 50_000:
-            raise EnumerationBudgetError("vertex combination budget exceeded")
-
-    plans: list[Coupling] = []
+    if math.prod(len(sols) for sols in per_component) > 50_000:
+        raise EnumerationBudgetError("vertex combination budget exceeded")
     from itertools import product as iproduct
 
-    for combo in iproduct(*per_component):
-        gamma = np.zeros((len(rows), len(cols)))
-        for flow in combo:
-            for (i, j), f in flow.items():
-                gamma[i, j] += f
-        plans.append(Coupling(rows=rows, cols=cols, gamma=gamma, n=space.n))
-    return plans
+    return [Coupling(rows=rows, cols=cols, gamma=sum(combo), n=space.n)
+            for combo in iproduct(*per_component)]
 
 
 # ---------------------------------------------------------------------------

@@ -5,18 +5,19 @@ correspondence: half the metric distortion plus a teleportation-style
 transport discrepancy between the ball measures, summed over surviving
 radii with weights 2^-k and capped at 1 per radius. Every measure gap is
 the exact teleport LP value through the relation, so isometric balls read
-0. Exhaustive mode certifies the infimum on tiny balls (at most
-EXHAUSTIVE_POINT_LIMIT = 9 ball points in total) by enumerating the
-maximal cliques of pairs at each distortion level; anneal mode returns an
-upper bound together with its certificate correspondence (at most
-ANNEAL_POINT_LIMIT = 2,500). Larger balls raise PmghBudgetError before any
-search (CLI exit 3).
+0. The size of the two balls picks each radius's search: at most
+EXHAUSTIVE_POINT_LIMIT = 9 ball points in total, the exact infimum by the
+maximal cliques of pairs at each distortion level; above that, an anneal
+that returns an upper bound with its certificate correspondence. Balls of
+more than ANNEAL_POINT_LIMIT = 2,500 points raise PmghBudgetError before
+any search (CLI exit 3).
 
 Each radius also gets a relation-free lower bound: half the 1-D Hausdorff
 distance between the base-distance profiles or between the within-ball
-eccentricities, plus the teleport cost of the mass difference. It is the
-anneal mode's lower bound, and a radius whose bound passes 1 is saturated:
-its term is 1 without a search, certified by the profile matching.
+eccentricities, plus the teleport cost of the mass difference. It bounds
+an annealed radius's term from below, and a radius whose bound passes 1 is
+saturated: its term is 1 without a search, certified by the profile
+matching.
 """
 from __future__ import annotations
 
@@ -42,8 +43,8 @@ __all__ = [
 
 DEFAULT_RADII = (1.0, 2.0, 4.0, 8.0)
 TELEPORT_COST = 1.0
-EXHAUSTIVE_POINT_LIMIT = 9     # total ball points per radius, exhaustive mode
-ANNEAL_POINT_LIMIT = 2_500     # total ball points per radius, anneal mode
+EXHAUSTIVE_POINT_LIMIT = 9     # total ball points of a radius searched exactly
+ANNEAL_POINT_LIMIT = 2_500     # total ball points of any searched radius
 BOUND_MARGIN = 1e-6            # how far a radius's lower bound must pass 1 to skip its search
 
 
@@ -52,7 +53,7 @@ class CoverageError(ValueError):
 
 
 class PmghBudgetError(RuntimeError):
-    """The balls exceed the mode's size limit."""
+    """The balls exceed ANNEAL_POINT_LIMIT."""
 
 
 @dataclass(frozen=True)
@@ -234,13 +235,14 @@ def _features(D: np.ndarray, w: np.ndarray, base: int) -> np.ndarray:
 
 
 def _mds_embedding(D: np.ndarray) -> np.ndarray:
+    """Classical MDS on the top three positive eigenpairs (at least one column)."""
     n = D.shape[0]
     J = np.eye(n) - 1.0 / n
     B = -0.5 * J @ (D**2) @ J
     vals, vecs = np.linalg.eigh(B)
     order = np.argsort(vals)[::-1][:3]
     vals, vecs = vals[order], vecs[:, order]
-    keep = vals > max(float(vals.max()), 0.0) * 1e-9 if vals.size else np.zeros(0, bool)
+    keep = vals > max(float(vals.max()), 0.0) * 1e-9
     if not keep.any():
         return np.zeros((n, 1))
     return vecs[:, keep] * np.sqrt(vals[keep])[None, :]
@@ -358,8 +360,6 @@ def _init_candidates(ball_a: _Ball, ball_b: _Ball):
     EA_full = _mds_embedding(DA)
     EB_full = _mds_embedding(DB)
     d = min(EA_full.shape[1], EB_full.shape[1])
-    if d < 1:
-        return cands, None, None
     EA_full = EA_full[:, :d] - EA_full[base_a, :d]
     EB_full = EB_full[:, :d] - EB_full[base_b, :d]
     for used in range(1, d + 1):
@@ -428,9 +428,8 @@ def _anneal_radius(ball_a: _Ball, ball_b: _Ball, seed: int,
 
     cands, EA, EB = _init_candidates(ball_a, ball_b)
     best = min((state(fa, gb) for fa, gb in cands), key=_CorrState.objective)
-    if EA is not None and EB is not None:
-        icp = state(*_icp_refine(EA, EB, *best.snapshot()))
-        best = min((best, icp), key=_CorrState.objective)
+    icp = state(*_icp_refine(EA, EB, *best.snapshot()))
+    best = min((best, icp), key=_CorrState.objective)
     start = best.snapshot()
 
     def restart(r: int) -> tuple[float, np.ndarray, np.ndarray]:
@@ -531,8 +530,9 @@ class PmghEstimate:
     value: float
     per_radius: tuple
     certificates: tuple       # Correspondence per surviving radius
-    lower_bound: float        # sum of weight * lower_bound (anneal) or value (exhaustive)
-    mode: str
+    # sum of weight * (term of an exactly searched radius, else min(1, bound))
+    lower_bound: float
+    exact: bool               # lower_bound == value: the value is the infimum
     swapped: bool             # True if inputs were reordered internally
 
 
@@ -564,7 +564,6 @@ def pmgh_distance(
     A: PointedSpace,
     B: PointedSpace,
     R_grid: Sequence[float] | None = None,
-    mode: str = "anneal",
     seed: int = 0,
     proposals: int = 10_000,
     restarts: int = 2,
@@ -576,32 +575,30 @@ def pmgh_distance(
     canonical content key before optimization and the certificate mirrored
     back, so D(A, B) and D(B, A) run the identical computation.
 
-    ``mode="anneal"`` searches each radius with ``restarts`` annealing runs of
-    ``proposals`` moves, seeded by ``seed`` plus the radius index; the value
-    is an upper bound backed by ``certificates`` (one relation per radius) and
-    ``lower_bound`` is the weighted sum of the per-radius bounds below.
-    ``mode="exhaustive"`` searches each radius by ``_exhaustive_radius``
-    (the maximal cliques of pairs at each distortion level), stopping once
-    it reaches the radius's bound; the value is exact, ``lower_bound``
-    equals it, and ``seed``, ``proposals`` and ``restarts`` are unused.
-
     Each radius first gets a relation-free lower bound on distortion +
     measure_gap (``_lower_bound``: the base-distance profiles, the
     eccentricities and the mass difference). When it passes 1 by
     BOUND_MARGIN, the term is 1 whatever the relation, so that radius is
     not searched: its certificate is the profile matching
     (``_feature_match``), reported with its own distortion and gap. Should
-    those sum below 1, the radius is searched as usual.
+    those sum below 1, the radius is searched.
+
+    The size of the two balls picks the search. At most
+    EXHAUSTIVE_POINT_LIMIT (9) points in total are searched exactly by
+    ``_exhaustive_radius`` (the maximal cliques of pairs at each distortion
+    level), which stops once it reaches the radius's bound. Larger balls
+    are annealed: ``restarts`` runs of ``proposals`` moves, seeded by
+    ``seed`` plus the radius index, whose term is an upper bound backed by
+    its certificate. ``lower_bound`` adds each exactly searched radius's
+    term and min(1, bound) of the others, so ``exact`` (lower_bound ==
+    value) says that the value is the infimum itself.
 
     Every measure gap is the exact teleport LP value through the found
     relation. The balls at the largest surviving radius may hold at most
-    EXHAUSTIVE_POINT_LIMIT (9) points in total in exhaustive mode and
-    ANNEAL_POINT_LIMIT (2,500) in anneal mode; above that PmghBudgetError
+    ANNEAL_POINT_LIMIT (2,500) points in total; above that PmghBudgetError
     is raised before any search (CLI exit 3). A radius that is not positive
     and finite raises ValueError (CLI exit 2).
     """
-    if mode not in ("anneal", "exhaustive"):
-        raise ValueError("mode must be 'anneal' or 'exhaustive'")
     grid = DEFAULT_RADII if R_grid is None else tuple(R_grid)
     for R in grid:
         if not (math.isfinite(R) and R > 0):
@@ -610,16 +607,14 @@ def pmgh_distance(
     X, Y = (B, A) if swapped else (A, B)
     radii = _surviving_radii(X, Y, grid)
 
-    exact = mode == "exhaustive"
     if radii:
         # balls grow with R, so the largest surviving radius bounds them all
         R = radii[-1]
         na, nb = (int((P.base_distances() < R).sum()) for P in (A, B))
-        limit = EXHAUSTIVE_POINT_LIMIT if exact else ANNEAL_POINT_LIMIT
-        if na + nb > limit:
+        if na + nb > ANNEAL_POINT_LIMIT:
             raise PmghBudgetError(
-                f"{mode} mode is limited to {limit} ball points in total, but the "
-                f"balls at radius {R:g} hold {na} + {nb}")
+                f"the search is limited to {ANNEAL_POINT_LIMIT} ball points in total, "
+                f"but the balls at radius {R:g} hold {na} + {nb}")
 
     value = lower = 0.0
     terms: list[RadiusTerm] = []
@@ -628,6 +623,7 @@ def pmgh_distance(
         ball_x, ball_y = _ball(X, R), _ball(Y, R)
         weight = 2.0 ** (-k)
         bound = _lower_bound(ball_x, ball_y)
+        small = len(ball_x.w) + len(ball_y.w) <= EXHAUSTIVE_POINT_LIMIT
         loc = None
         if bound > 1.0 + BOUND_MARGIN:
             # saturated: the term is 1 for every relation, so certify it
@@ -637,15 +633,13 @@ def pmgh_distance(
             if dist + gap < 1.0:
                 loc = None
         if loc is None:
-            if exact:
-                loc = _exhaustive_radius(ball_x, ball_y, bound)
-            else:
-                loc = _anneal_radius(ball_x, ball_y, seed + k,
-                                     proposals=proposals, restarts=restarts)
+            loc = (_exhaustive_radius(ball_x, ball_y, bound) if small else
+                   _anneal_radius(ball_x, ball_y, seed + k, proposals=proposals, restarts=restarts))
             dist, gap = _evaluate(ball_x, ball_y, loc)
         term = min(1.0, dist + gap)
         value += weight * term
-        lower += weight * min(1.0, bound)
+        # a saturated term is 1 = min(1, bound) either way
+        lower += weight * (term if small else min(1.0, bound))
         terms.append(RadiusTerm(radius=R, weight=weight, distortion=dist,
                                 measure_gap=gap, term=term, lower_bound=min(1.0, bound),
                                 aggregated=False))
@@ -658,8 +652,8 @@ def pmgh_distance(
         value=value,
         per_radius=tuple(terms),
         certificates=tuple(certs),
-        lower_bound=value if exact else lower,
-        mode=mode,
+        lower_bound=lower,
+        exact=lower == value,
         swapped=swapped,
     )
 

@@ -493,7 +493,7 @@ def _product_measure_defect(b, ww, assign, dprime, wq, base_rep, window) -> floa
     keep = np.flatnonzero(dprime[base_rep] <= 0.9 * box)
     if keep.size == 0:
         keep = np.array([base_rep])
-    n_bins = 12
+    n_bins = 11  # odd, so b = 0 (the base fiber column) sits mid-bin, not on an edge
     edges = np.linspace(-box, box, n_bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     binwidth = edges[1] - edges[0]

@@ -5,6 +5,7 @@ import json
 import re
 import time
 import tracemalloc
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -29,12 +30,57 @@ def strict_report(out):
     return json.loads((out / "report.json").read_text(), parse_constant=_reject_constant)
 
 
+def _leaf_diffs(got, want, path="$") -> list[str]:
+    """Each differing JSON leaf as 'path: got != golden want'."""
+    if isinstance(got, dict) and isinstance(want, dict):
+        return [d for k in sorted(got.keys() | want.keys())
+                for d in _leaf_diffs(got.get(k, "<absent>"), want.get(k, "<absent>"),
+                                     f"{path}.{k}")]
+    if isinstance(got, list) and isinstance(want, list):
+        if len(got) != len(want):
+            return [f"{path}: {len(got)} items != golden {len(want)} items"]
+        return [d for k, (g, w) in enumerate(zip(got, want))
+                for d in _leaf_diffs(g, w, f"{path}[{k}]")]
+    if type(got) is type(want) and got == want:
+        return []
+    return [f"{path}: {got!r} != golden {want!r}"]
+
+
+def _golden_diff(fname, got: bytes, want: bytes) -> str:
+    """The first 10 differing JSON leaves, or the first differing CSV row."""
+    if fname.endswith(".json"):
+        diffs = _leaf_diffs(json.loads(got), json.loads(want))
+        more = f"; and {len(diffs) - 10} more" if len(diffs) > 10 else ""
+        return "; ".join(diffs[:10]) + more if diffs else "formatting only"
+    rows = zip_longest(got.decode().splitlines(), want.decode().splitlines(),
+                       fillvalue="<absent>")
+    return next((f"row {k}: {g!r} != golden {w!r}" for k, (g, w) in enumerate(rows)
+                 if g != w), "line endings only")
+
+
 def assert_golden(out, name, *csvs):
     """report.json (strict JSON) and the named CSVs are byte-identical to the
-    stored golden files of this case."""
+    stored golden files of this case; a mismatch names what differs."""
     strict_report(out)
     for fname in ("report.json", *csvs):
-        assert (out / fname).read_bytes() == (GOLDEN / f"{name}.{fname}").read_bytes(), fname
+        got, want = (out / fname).read_bytes(), (GOLDEN / f"{name}.{fname}").read_bytes()
+        if got != want:
+            pytest.fail(f"{name}.{fname} differs from the golden: {_golden_diff(fname, got, want)}")
+
+
+def test_golden_mismatch_names_what_differs(tmp_path):
+    report = json.loads((GOLDEN / "ghdist.report.json").read_text())
+    report["value"], report["per_radius"][0]["term"] = 0.5, 2
+    (tmp_path / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True))
+    with pytest.raises(pytest.fail.Exception) as exc:
+        assert_golden(tmp_path, "ghdist")
+    assert "$.per_radius[0].term: 2 != golden 0.0" in str(exc.value)
+    assert "$.value: 0.5 != golden 0.0" in str(exc.value)
+    rows = (GOLDEN / "w2.plan.csv").read_text().splitlines()
+    (tmp_path / "report.json").write_bytes((GOLDEN / "w2.report.json").read_bytes())
+    (tmp_path / "plan.csv").write_text("\n".join(rows[:2] + ["0,0,0.5"] + rows[3:]) + "\n")
+    with pytest.raises(pytest.fail.Exception, match=f"row 2: '0,0,0.5' != golden '{rows[2]}'"):
+        assert_golden(tmp_path, "w2", "plan.csv")
 
 
 def test_models_list(capsys):
@@ -66,20 +112,20 @@ def test_cdstar_command_holds(tmp_path, capsys):
 
 
 def test_ghdist_identity_zero(tmp_path, capsys):
-    # small enough that both balls stay within the 9-point exhaustive limit
+    # small enough that both balls stay within the 9 points searched exactly
     space = models.make(models.ModelSpec("euclidean-grid", dim=1, h=0.25, extent=0.3))
     path = tmp_path / "A.json"
     path.write_text(json.dumps(core.space_to_dict(space)))
-    code = run(["ghdist", str(path), str(path), "--mode", "exhaustive",
-                "--out", str(tmp_path / "out")])
+    code = run(["ghdist", str(path), str(path), "--out", str(tmp_path / "out")])
     assert code == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert report["value"] == 0.0
+    assert report["value"] == 0.0 and report["exact"] is True
     assert_golden(tmp_path / "out", "ghdist")
 
 
 def test_ghdist_anneal_golden(tmp_path, capsys):
-    # anneal mode on balls past the exhaustive limit pins the search's certificates
+    # balls past the 9 points searched exactly are annealed; the golden pins
+    # the anneal's certificates
     code = run(["ghdist", "euclidean-grid:2d,h=0.5,extent=2,shape=ball",
                 "euclidean-grid:1d,h=0.4,extent=2", "--normalize", "--window", "2",
                 "--seed", "3", "--out", str(tmp_path)])
@@ -201,21 +247,24 @@ def test_prolong_center_out_of_range_exit_code(tmp_path, x0):
     assert not (tmp_path / "report.json").exists()
 
 
-def test_budget_error_exit_code(tmp_path):
+def test_budget_error_exit_code(tmp_path, monkeypatch, capsys):
+    # 21 + 21 ball points, one above the (lowered) anneal limit
+    monkeypatch.setattr(pmgh, "ANNEAL_POINT_LIMIT", 41)
     space = models.make(models.ModelSpec("euclidean-grid", dim=1, h=0.1, extent=1.0))
     path = tmp_path / "big.json"
     path.write_text(json.dumps(core.space_to_dict(space)))
-    code = run(["ghdist", str(path), str(path), "--mode", "exhaustive",
-                "--radii", "50", "--out", str(tmp_path / "o")])
+    code = run(["ghdist", str(path), str(path), "--radii", "50", "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_BUDGET
+    assert "21 + 21" in capsys.readouterr().err
 
 
 def test_transport_pair_limit_exit_code(tmp_path, monkeypatch, capsys):
-    # 11 x 11 support pairs, one above the limit: refused before any solve
+    # 11 x 11 support pairs of equal mass, one above the assignment route's
+    # limit: refused before any solve
     def no_solve(*args, **kwargs):
         raise AssertionError("the size check must run before any solve")
 
-    monkeypatch.setattr(transport, "TRANSPORT_PAIR_LIMIT", 120)
+    monkeypatch.setattr(transport, "ASSIGNMENT_PAIR_LIMIT", 120)
     monkeypatch.setattr(transport, "transport_lp", no_solve)
     code = run(["w2", "euclidean-grid:1d,h=0.1,extent=0.5", "--mu0", "uniform",
                 "--mu1", "uniform", "--out", str(tmp_path)])

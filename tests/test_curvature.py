@@ -317,10 +317,26 @@ class TestEnumerateOptimalPlans:
                          interpolator=transport.MetricInterpolator(D, eps_geo=1.0))
         mu0 = np.array([0.5, 0.5, 0.0, 0.0])
         mu1 = np.array([0.0, 0.0, 0.5, 0.5])
-        rep = curvature.cdstar_check(sp, mu0, mu1, K=0.0, N=1.0, tol=0.25,
-                                     plan_search="exhaustive")
+        # the LP vertex violates on 4 support points, so every vertex is tried
+        rep = curvature.cdstar_check(sp, mu0, mu1, K=0.0, N=1.0, tol=0.25)
+        assert rep.plan_provenance["search"] == "exhaustive"
         assert rep.plan_provenance["enumerated_plans"] == 2
         assert rep.verdict in ("holds", "violated")
+
+    def test_violation_above_the_limit_keeps_the_single_plan(self, monkeypatch):
+        # 20 support points, above ENUMERATION_POINT_LIMIT: the LP vertex's
+        # violation is reported without a search
+        def no_search(*args):
+            raise AssertionError("no enumeration above the support-point limit")
+
+        monkeypatch.setattr(curvature, "enumerate_optimal_plans", no_search)
+        ps = grid_1d(0.1, extent=1.0)
+        mu0, mu1 = halves(ps)
+        assert np.count_nonzero(mu0) + np.count_nonzero(mu1) > curvature.ENUMERATION_POINT_LIMIT
+        rep = curvature.cdstar_check(ps.space, mu0, mu1, K=20.0, N=2.0)
+        assert rep.verdict == "violated"
+        assert rep.plan_provenance["search"] == "single"
+        assert rep.plan_provenance["plan"] == "lp-vertex"
 
 
 class TestProlongability:

@@ -88,12 +88,15 @@ class TestMeasureGap:
 class TestPmghDistance:
     def test_identical_zero(self):
         A = two_point(1.0)
-        assert pmgh.pmgh_distance(A, A, mode="exhaustive").value == 0.0
-        assert pmgh.pmgh_distance(A, A, mode="anneal").value == 0.0
+        est = pmgh.pmgh_distance(A, A)
+        assert est.value == 0.0 and est.exact
+        # the anneal finds a relation of value 0 on the same balls
+        ball = _ball(A, 2.0)
+        assert sum(pmgh._evaluate(ball, ball, pmgh._anneal_radius(ball, ball, 0))) == 0.0
 
     def test_two_point_matches_bruteforce(self):
         A, B = two_point(1.0), two_point(1.2)
-        est = pmgh.pmgh_distance(A, B, mode="exhaustive")
+        est = pmgh.pmgh_distance(A, B)
         # independent subset enumeration per surviving radius
         total = 0.0
         for k, term in enumerate(est.per_radius, start=1):
@@ -103,7 +106,7 @@ class TestPmghDistance:
                 lambda loc: _gap_lp(ball_a.D, ball_b.D, ball_a.w, ball_b.w, loc))
             total += 2.0 ** (-k) * min(1.0, val)
         assert est.value == pytest.approx(total, abs=1e-9)
-        assert est.lower_bound == est.value
+        assert est.lower_bound == est.value and est.exact
 
     def test_symmetry_exact(self):
         rng = np.random.default_rng(2)
@@ -113,10 +116,10 @@ class TestPmghDistance:
             D2, w2 = random_euclidean_space(rng, nb)
             A = PointedSpace(FiniteSpace(tuple(range(na)), D, w), 0)
             B = PointedSpace(FiniteSpace(tuple(range(nb)), D2, w2), min(2, nb - 1))
-            ab = pmgh.pmgh_distance(A, B, mode="exhaustive", seed=seed)
-            ba = pmgh.pmgh_distance(B, A, mode="exhaustive", seed=seed)
+            ab = pmgh.pmgh_distance(A, B, seed=seed)
+            ba = pmgh.pmgh_distance(B, A, seed=seed)
             assert ab.value == ba.value
-        # anneal mode is symmetric too, by canonical ordering
+        # the anneal is symmetric too, by canonical ordering
         D, w = random_euclidean_space(rng, 6)
         D2, w2 = random_euclidean_space(rng, 7)
         A = PointedSpace(FiniteSpace(tuple(range(6)), D, w), 0)
@@ -135,12 +138,12 @@ class TestPmghDistance:
             B = PointedSpace(FiniteSpace(tuple(range(n)), D2, w2), b2)
             nA, _ = core.normalize_at(A, 1.0)
             nB, _ = core.normalize_at(B, 1.0)
-            assert pmgh.pmgh_distance(nA, nB, mode="exhaustive").value == 0.0
+            assert pmgh.pmgh_distance(nA, nB).value == 0.0
 
     def test_value_dominates_lower_bound_and_caps(self):
         A = two_point(1.0)
         B = two_point(9.0)
-        est = pmgh.pmgh_distance(A, B, mode="exhaustive")
+        est = pmgh.pmgh_distance(A, B)
         assert est.value >= 0.0
         for t in est.per_radius:
             assert t.term <= 1.0
@@ -155,9 +158,9 @@ class TestPmghDistance:
                 nps, _ = core.normalize_at(
                     PointedSpace(FiniteSpace(tuple(range(n)), D, w), 0), 1.0)
                 spaces.append(nps)
-            dab = pmgh.pmgh_distance(spaces[0], spaces[1], mode="exhaustive").value
-            dbc = pmgh.pmgh_distance(spaces[1], spaces[2], mode="exhaustive").value
-            dac = pmgh.pmgh_distance(spaces[0], spaces[2], mode="exhaustive").value
+            dab = pmgh.pmgh_distance(spaces[0], spaces[1]).value
+            dbc = pmgh.pmgh_distance(spaces[1], spaces[2]).value
+            dac = pmgh.pmgh_distance(spaces[0], spaces[2]).value
             assert dac <= 2.0 * (dab + dbc) + 1e-9
 
     def test_metric_perturbation_stability(self):
@@ -169,17 +172,10 @@ class TestPmghDistance:
         D2[1, 2] += eps
         D2[2, 1] += eps
         B = PointedSpace(FiniteSpace(tuple(range(4)), D2, w), 0)
-        est = pmgh.pmgh_distance(A, B, mode="exhaustive")
+        est = pmgh.pmgh_distance(A, B)
         # distortion of the identity matching is eps/2; the gap term only
         # adds metric-driven movement below the teleport cap
         assert est.value <= (eps / 2 + eps) * sum(t.weight for t in est.per_radius) + 1e-9
-
-    def test_exhaustive_size_guard(self):
-        rng = np.random.default_rng(6)
-        D, w = random_euclidean_space(rng, 8)
-        A = PointedSpace(FiniteSpace(tuple(range(8)), D, w), 0)
-        with pytest.raises(pmgh.PmghBudgetError):
-            pmgh.pmgh_distance(A, A, mode="exhaustive", R_grid=(10.0,))
 
     def test_relabel_invariance_generic(self):
         rng = np.random.default_rng(7)
@@ -194,19 +190,26 @@ class TestPmghDistance:
         assert vA == pytest.approx(vB, abs=1e-12)
 
     def test_anneal_upper_bounds_exhaustive(self):
+        # both searches on the same tiny balls: the anneal's term is never
+        # below the exact infimum
         rng = np.random.default_rng(8)
-        for _ in range(4):
+        for seed in range(4):
             D, w = random_euclidean_space(rng, 4)
             D2, w2 = random_euclidean_space(rng, 4)
             A = PointedSpace(FiniteSpace(tuple(range(4)), D, w), 0)
             B = PointedSpace(FiniteSpace(tuple(range(4)), D2, w2), 0)
-            lo = pmgh.pmgh_distance(A, B, mode="exhaustive").value
-            up = pmgh.pmgh_distance(A, B, mode="anneal").value
-            assert up >= lo - 1e-9
+            for R in pmgh.DEFAULT_RADII:
+                ball_a, ball_b = _ball(A, R), _ball(B, R)
+                lo = sum(pmgh._evaluate(ball_a, ball_b,
+                                        pmgh._exhaustive_radius(ball_a, ball_b, 0.0)))
+                up = sum(pmgh._evaluate(ball_a, ball_b,
+                                        pmgh._anneal_radius(ball_a, ball_b, seed,
+                                                            proposals=2000, restarts=1)))
+                assert min(1.0, up) >= min(1.0, lo) - 1e-9
 
     def test_certificate_is_valid_correspondence(self):
         A, B = two_point(1.0), two_point(1.2)
-        est = pmgh.pmgh_distance(A, B, mode="exhaustive")
+        est = pmgh.pmgh_distance(A, B)
         for term, cert in zip(est.per_radius, est.certificates):
             d = pmgh.distortion(A, B, cert, term.radius)
             g = pmgh.measure_gap(A, B, cert, term.radius)
@@ -214,7 +217,7 @@ class TestPmghDistance:
 
     def test_estimate_json(self):
         A = two_point(1.0)
-        est = pmgh.pmgh_distance(A, A, mode="exhaustive")
+        est = pmgh.pmgh_distance(A, A)
         assert '"value": 0.0' in json.dumps(cli._plain(est), allow_nan=False)
 
 
@@ -390,6 +393,48 @@ class TestExhaustive:
             below_cap += expect < 1.0
         assert below_cap >= 15
 
+    def test_default_search_is_exact_on_tiny_balls(self):
+        # pmgh_distance with default arguments searches balls of at most 9
+        # points exactly; the subset enumeration is kept to 6 points
+        rng = np.random.default_rng(58)
+        below_cap = 0
+        for _ in range(12):
+            na = int(rng.integers(1, 5))
+            A, B = random_pair(rng, na, int(rng.integers(1, 7 - na)))
+            est = pmgh.pmgh_distance(A, B)
+            below_cap += any(t.term < 1.0 for t in est.per_radius)
+            expect = 0.0
+            for term in est.per_radius:
+                ball_a, ball_b = _ball(A, term.radius), _ball(B, term.radius)
+                val = bruteforce_corr_infimum(
+                    ball_a.D, ball_a.w, ball_a.base, ball_b.D, ball_b.w, ball_b.base,
+                    lambda loc: _gap_lp(ball_a.D, ball_b.D, ball_a.w, ball_b.w, loc))
+                expect += term.weight * min(1.0, val)
+            assert est.value == pytest.approx(expect, abs=1e-9)
+            assert est.exact and est.lower_bound == est.value
+        assert below_cap >= 6
+
+    def test_ball_size_picks_the_search(self, monkeypatch):
+        calls = []
+
+        def recorded(name):
+            search = getattr(pmgh, name)
+
+            def run(ball_a, ball_b, *args, **kwargs):
+                calls.append((name, len(ball_a.w) + len(ball_b.w)))
+                return search(ball_a, ball_b, *args, **kwargs)
+            return run
+
+        for name in ("_exhaustive_radius", "_anneal_radius"):
+            monkeypatch.setattr(pmgh, name, recorded(name))
+        rng = np.random.default_rng(59)
+        A, B, C = (random_pointed(rng, n, 1.0, 1.0) for n in (4, 5, 6))
+        assert pmgh.pmgh_distance(A, B, R_grid=(100.0,)).exact
+        assert calls == [("_exhaustive_radius", 9)]
+        calls.clear()
+        pmgh.pmgh_distance(A, C, R_grid=(100.0,))
+        assert calls == [("_anneal_radius", 10)]
+
     def test_independent_of_seed(self):
         # the first pair is the cap case above, where no relation is valued
         # below 1 at radius 100
@@ -398,8 +443,7 @@ class TestExhaustive:
         cases += [random_pair(rng, na, int(rng.integers(2, 10 - na)))
                   for na in rng.integers(2, 6, size=4)]
         for A, B in cases:
-            first, second = (pmgh.pmgh_distance(A, B, R_grid=(0.5, 1.0, 2.0, 100.0),
-                                                mode="exhaustive", seed=seed)
+            first, second = (pmgh.pmgh_distance(A, B, R_grid=(0.5, 1.0, 2.0, 100.0), seed=seed)
                              for seed in (0, 1))
             assert first.value == second.value
             assert all(np.array_equal(c.pairs, d.pairs)
@@ -413,18 +457,19 @@ class TestSaturatedRadii:
     def no_bound(monkeypatch):
         monkeypatch.setattr(pmgh, "_lower_bound", lambda ball_a, ball_b: 0.0)
 
-    @pytest.mark.parametrize("mode", ["anneal", "exhaustive"])
-    def test_skip_agrees_with_search(self, monkeypatch, mode):
-        rng = np.random.default_rng(53 if mode == "anneal" else 54)
+    @pytest.mark.parametrize("search", ["anneal", "exhaustive"])
+    def test_skip_agrees_with_search(self, monkeypatch, search):
+        # at most 9 ball points are searched exactly, more are annealed
+        rng = np.random.default_rng(53 if search == "anneal" else 54)
         cases = []
         for seed in range(20):
-            if mode == "exhaustive":
+            if search == "exhaustive":
                 na = int(rng.integers(1, 6))
                 sizes = (na, int(rng.integers(1, 10 - na)))
             else:
-                sizes = tuple(int(n) for n in rng.integers(4, 20, size=2))
+                sizes = tuple(int(n) for n in rng.integers(5, 20, size=2))
             cases.append((*random_pair(rng, *sizes), seed))
-        kw = dict(mode=mode, proposals=1000, restarts=1)
+        kw = dict(proposals=1000, restarts=1)
         skipping = [pmgh.pmgh_distance(A, B, seed=seed, **kw) for A, B, seed in cases]
         self.no_bound(monkeypatch)
         searched = [pmgh.pmgh_distance(A, B, seed=seed, **kw) for A, B, seed in cases]
@@ -452,20 +497,21 @@ class TestSaturatedRadii:
         assert fast.value == slow.value
         assert [t.term for t in fast.per_radius] == [t.term for t in slow.per_radius]
 
-    @pytest.mark.parametrize("mode", ["anneal", "exhaustive"])
-    def test_saturated_terms_skip_search_and_certify(self, monkeypatch, mode):
+    @pytest.mark.parametrize("search", ["anneal", "exhaustive"])
+    def test_saturated_terms_skip_search_and_certify(self, monkeypatch, search):
         def no_search(*args, **kwargs):
             raise AssertionError("a saturated radius must not be searched")
 
         monkeypatch.setattr(pmgh, "_anneal_radius", no_search)
         monkeypatch.setattr(pmgh, "_exhaustive_radius", no_search)
         # the same grid with three times the weight: the masses differ by
-        # more than 1 at every radius
-        h, extent = (0.25, 2.0) if mode == "anneal" else (0.6, 1.0)
+        # more than 1 at every radius; balls of 17 points a side would be
+        # annealed, of at most 3 searched exactly
+        h, extent = (0.25, 2.0) if search == "anneal" else (0.6, 1.0)
         A = models.make(models.ModelSpec("euclidean-grid", dim=1, h=h, extent=extent))
         B = PointedSpace(FiniteSpace(A.space.points, A.space.metric, 3.0 * A.space.weights),
                          A.base)
-        est = pmgh.pmgh_distance(A, B, R_grid=(1.0, 2.0, 4.0), mode=mode)
+        est = pmgh.pmgh_distance(A, B, R_grid=(1.0, 2.0, 4.0))
         assert est.value == sum(t.weight for t in est.per_radius)
         assert est.lower_bound == est.value
         for term, cert in zip(est.per_radius, est.certificates):
@@ -477,7 +523,7 @@ class TestSaturatedRadii:
 
 
 class TestFailFast:
-    """Balls above the mode's size limit and bad radii are refused before
+    """Balls above the anneal's size limit and bad radii are refused before
     any search."""
 
     def test_anneal_limit_raises_before_search(self, monkeypatch):
@@ -500,8 +546,7 @@ class TestFailFast:
 class TestConvergenceDiagnostic:
     def test_constant_sequence_all_zero(self):
         A = two_point(1.0)
-        diag = pmgh.convergence_diagnostic([(1.0, A), (0.5, A), (0.25, A)], A,
-                                           mode="exhaustive")
+        diag = pmgh.convergence_diagnostic([(1.0, A), (0.5, A), (0.25, A)], A)
         assert diag["trend"] == "constant"
         assert all(v == 0.0 for _, v, _ in diag["rows"])
 
@@ -509,11 +554,11 @@ class TestConvergenceDiagnostic:
         A, B = two_point(1.0), two_point(3.0)
         target = two_point(1.0)
         diag = pmgh.convergence_diagnostic(
-            [(1.0, A), (0.5, B), (0.25, A), (0.125, B)], target, mode="exhaustive")
+            [(1.0, A), (0.5, B), (0.25, A), (0.125, B)], target)
         assert diag["trend"] == "none"
 
     def test_decreasing_flag(self):
         target = two_point(1.0)
         members = [(1.0, two_point(2.0)), (0.5, two_point(1.4)), (0.25, two_point(1.05))]
-        diag = pmgh.convergence_diagnostic(members, target, mode="exhaustive")
+        diag = pmgh.convergence_diagnostic(members, target)
         assert diag["trend"] == "decreasing"

@@ -304,6 +304,22 @@ class TestSplit:
         assert np.array_equal(got, got.T) and not np.diag(got).any()
         assert np.abs(got - expect).max() <= 1e-12
 
+    def test_measure_defect_ignores_rounding_of_b_at_the_base(self):
+        # on an exact lattice the base's fiber column lies at b = 0 up to
+        # rounding, so no bin edge may fall there: setting those b to 0, to
+        # -1e-17 or to alternating +-1e-17 leaves the measure defect as it is
+        ps = grid(2, 0.05, 1.0)
+        res = tl.split(ps, tl.detect_line(ps, L=0.9, eps=0.01))
+        q = res.quotient
+        zero = np.abs(res.b) < 1e-12
+        assert zero.sum() > 10
+        alternating = np.where(np.arange(len(res.b)) % 2, 1e-17, -1e-17)
+        defects = [tl._product_measure_defect(
+            np.where(zero, moved, res.b), ps.space.weights[res.window_idx], res.assignment,
+            q.space.metric, q.space.weights, q.base, res.window)
+            for moved in (0.0, -1e-17, alternating)]
+        assert defects == pytest.approx([res.delta_measure] * 3, rel=1e-9)
+
     def test_refuses_short_chain(self):
         ps = grid(2, 0.05, 1.0)
         line = tl.detect_line(ps, L=0.9, eps=0.01)

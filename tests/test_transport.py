@@ -101,6 +101,22 @@ class TestW2Exact:
             transport.w2(sp, mu0, mu1)
         assert transport.w2(sp, mu0, mu1, solver="entropic", reg=0.1).cost_squared > 0
 
+    def test_assignment_route_has_its_own_limit(self, monkeypatch):
+        # uniform halves of 5 points each are an assignment problem, which
+        # the simplex's pair limit does not refuse; a general measure on the
+        # same support is refused by it, and the assignment limit refuses both
+        sp = line_space(10)
+        mu0 = np.r_[np.full(5, 0.2), np.zeros(5)]
+        mu1 = mu0[::-1].copy()
+        general = np.r_[np.zeros(5), 0.1, 0.2, 0.2, 0.2, 0.3]
+        monkeypatch.setattr(transport, "TRANSPORT_PAIR_LIMIT", 24)
+        assert transport.w2(sp, mu0, mu1).meta["route"] == "assignment"
+        with pytest.raises(transport.TransportBudgetError, match="5 x 5 .* simplex route"):
+            transport.w2(sp, mu0, general)
+        monkeypatch.setattr(transport, "ASSIGNMENT_PAIR_LIMIT", 24)
+        with pytest.raises(transport.TransportBudgetError, match="5 x 5 .* assignment route"):
+            transport.w2(sp, mu0, mu1)
+
     def test_relabel_invariance(self):
         rng = np.random.default_rng(9)
         pts = rng.random((8, 2))
