@@ -269,8 +269,7 @@ def cmd_split(args) -> int:
     ps = _load_pointed(args.space)
     line = tangent_lab.detect_line(ps, L=args.L, eps=args.tol_line)
     if line is None:
-        print("no line found")
-        return EXIT_VALIDATION
+        raise ValueError(f"no line found with L={args.L} and --tol-line {args.tol_line}")
     res = tangent_lab.split(ps, line)
     with open(os.path.join(_out_dir(args), "quotient.json"), "w") as fh:
         json.dump(core.space_to_dict(res.quotient), fh)

@@ -16,7 +16,6 @@ from scipy.sparse import csr_matrix
 
 from .core import FiniteSpace, PointedSpace, ball_restrict, normalize_at, rescale
 from .pmgh import TELEPORT_COST, convergence_diagnostic, pmgh_distance
-from .transport import transport_lp
 
 __all__ = [
     "BlowupMember",
@@ -350,7 +349,8 @@ class SplitResult:
     quotient: PointedSpace
     assignment: np.ndarray       # windowed point -> representative position
     delta_metric: float
-    delta_measure: float
+    delta_measure: float         # upper bound on the teleport distance to
+                                 # m' x length; no gate reads it
     window: float
     rep_idx: np.ndarray          # representative indices into the input space
 
@@ -387,9 +387,11 @@ def split(ps: PointedSpace, line: LineCandidate, window: float | None = None) ->
     mass-weighted mean of max(0, d^2 - (b-b)^2) over all their point pairs,
     and the measure is pushed forward with per-fiber extent normalization.
     ``delta_metric`` is the exact maximum over all pairs of windowed points
-    of |d^2 - (b-b)^2 - d'^2|^(1/2); both defects are reported. The line is
-    certified only along its chain, so the split refuses a window that the
-    chain does not pass by 1.25 chain steps on each side.
+    of |d^2 - (b-b)^2 - d'^2|^(1/2); ``delta_measure`` bounds the teleport
+    distance per unit mass between the measure and m' x length on the box
+    |b| <= window/sqrt(2) from above (``_product_measure_defect``), and no
+    gate reads it. The line is certified only along its chain, so the split
+    refuses a window that the chain does not pass by 1.25 steps on each side.
     """
     space = ps.space
     D = space.metric
@@ -483,44 +485,30 @@ def split(ps: PointedSpace, line: LineCandidate, window: float | None = None) ->
 
 
 def _product_measure_defect(b, ww, assign, dprime, wq, base_rep, window) -> float:
-    """Relative LP discrepancy between the measure and the product m' x length.
+    """Upper bound on the teleport transport distance between the measure and
+    m' x length on the box |b| <= box = window/sqrt(2), per unit box mass: the
+    cost of a plan that moves mass only along fibers. No gate reads it.
 
-    Histograms over (fiber group, b-bin) cells are compared on the central
-    box |b| <= window/sqrt(2), restricted to fibers the box genuinely
-    crosses, and matched with the teleportation transport LP.
+    Each fiber f within 0.9 box of the base fiber in d' holds mass a_f at its
+    box points' b, against p_f = 2 box wq[f] spread uniformly on [-box, box].
+    Scaled to m_f = min(a_f, p_f), the two are matched by their 1-D W1, the
+    area between their CDFs, summed in quantile form: a point x covering the
+    band [y0, y1] of the uniform's quantiles adds m_f/(2 box) times the
+    integral of |y - x| over it. |a_f - p_f| costs TELEPORT_COST per unit.
     """
     box = window / math.sqrt(2.0)
-    keep = np.flatnonzero(dprime[base_rep] <= 0.9 * box)
-    if keep.size == 0:
-        keep = np.array([base_rep])
-    n_bins = 11  # odd, so b = 0 (the base fiber column) sits mid-bin, not on an edge
-    edges = np.linspace(-box, box, n_bins + 1)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    binwidth = edges[1] - edges[0]
-    groups = np.arange(len(keep))
-    if len(keep) > 32:  # coarsen fibers for the LP
-        groups = np.arange(len(keep)) // (len(keep) // 32 + 1)
-    n_groups = int(groups.max()) + 1
-
-    actual = np.zeros((n_groups, n_bins))
-    product = np.repeat(np.bincount(groups, wq[keep] * binwidth)[:, None], n_bins, axis=1)
-    inside = (np.abs(b) <= box) & np.isin(assign, keep)
-    pos = np.searchsorted(keep, assign[inside])
-    which = np.clip(np.searchsorted(edges, b[inside], side="right") - 1, 0, n_bins - 1)
-    np.add.at(actual, (groups[pos], which), ww[inside])
-
-    # cell metric: quotient distance between group medoids + b-bin offset
-    reps_of_group = keep[np.searchsorted(groups, np.arange(n_groups))]
-    gm = dprime[np.ix_(reps_of_group, reps_of_group)]
-    cell_d = np.sqrt(gm[:, :, None, None] ** 2
-                     + (centers[None, None, :, None] - centers[None, None, None, :]) ** 2)
-    na = n_groups * n_bins
-    cost_full = cell_d.transpose(0, 2, 1, 3).reshape(na, na)
-    wa = actual.reshape(na)
-    wb = product.reshape(na)
-    gap = transport_lp(cost_full, wa, wb, teleport=TELEPORT_COST)[1]
-    total = max(wa.sum(), 1e-300)
-    return float(gap / total)
+    keep = dprime[base_rep] <= 0.9 * box
+    inside = np.flatnonzero((np.abs(b) <= box) & keep[assign] & (ww > 0))
+    order = inside[np.lexsort((b[inside], assign[inside]))]
+    f, x, w = assign[order], b[order], ww[order]
+    a = np.bincount(f, w, minlength=len(wq))
+    p = np.where(keep, 2.0 * box * wq, 0.0)
+    # each point's quantile band [y0, y1]; (y - x)|y - x| / 2 integrates |y - x|
+    y1 = box * (2.0 * (np.cumsum(w) - (np.cumsum(a) - a)[f]) / a[f] - 1.0)
+    y0 = y1 - 2.0 * box * w / a[f]
+    ramp = np.bincount(f, (y1 - x) * np.abs(y1 - x) - (y0 - x) * np.abs(y0 - x), minlength=len(a))
+    cost = np.minimum(a, p) / (4.0 * box) * ramp + TELEPORT_COST * np.abs(a - p)
+    return float(cost.sum() / max(a.sum(), 1e-300))
 
 
 # ---------------------------------------------------------------------------

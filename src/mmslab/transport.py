@@ -146,7 +146,8 @@ def transport_lp(
     its vertex is exact, since every vertex is a permutation times a[0].
     On lattice ties it may be another optimal vertex than the simplex
     would return, at the same cost. If its dual sweeps do not settle, the
-    simplex solves it.
+    simplex solves it, or TransportBudgetError is raised when n0 * n1 is
+    above TRANSPORT_PAIR_LIMIT.
 
     Returns (gamma, cost, u, v, certificate): the plan, the optimal value,
     the row and column duals, and the certificate: ``min_reduced_cost``,
@@ -162,6 +163,9 @@ def transport_lp(
         solved = _assignment(C, float(a[0]))
         if solved is not None:
             return solved
+        if n0 * n1 > TRANSPORT_PAIR_LIMIT:
+            raise TransportBudgetError(f"assignment duals of {n0} x {n1} did not settle; the "
+                                       f"simplex route's limit is {TRANSPORT_PAIR_LIMIT} pairs")
     if teleport is None:
         A_rows = sparse.kron(sparse.eye(n0), np.ones((1, n1)))
         A_cols = sparse.kron(np.ones((1, n0)), sparse.eye(n1))
@@ -334,7 +338,8 @@ def w2(
     assignment route, ``sweeps``). A problem of more support pairs than its
     route allows, ASSIGNMENT_PAIR_LIMIT on the assignment route and
     TRANSPORT_PAIR_LIMIT on the simplex, raises TransportBudgetError before
-    any cost is formed. Entropic mode runs log-domain
+    any cost is formed; an assignment above TRANSPORT_PAIR_LIMIT whose duals
+    do not settle raises it after the solve (``transport_lp``). Entropic mode runs log-domain
     matrix scaling at regularization ``reg`` (squared distance units,
     positive and finite, else ValueError), stopping at L1 marginal error
     1e-8 or after 10,000 sweeps, and rounds the plan back to the polytope

@@ -145,12 +145,22 @@ def test_dimension_command(tmp_path, capsys):
     assert_golden(tmp_path, "dimension")
 
 
-def test_dimension_cylinder_counts_one_factor(tmp_path, capsys):
+@pytest.mark.parametrize("spec, flags, n", [
+    ("euclidean-grid:2d,h=0.125,extent=5,shape=ball", ["--N", "2"], 2),
+    ("euclidean-grid:3d,h=0.25,extent=2.5,shape=ball", ["--N", "3", "--window", "2"], 3),
     # the axis is a line; the circle factor left after splitting it has none
-    assert run(["dimension", "cylinder:c=1,L=10,h=0.05", "--N", "2",
-                "--out", str(tmp_path)]) == 0
-    assert json.loads((tmp_path / "metadata.json").read_text())["n"] == 1
-    assert strict_report(tmp_path)["stages"][0]["status"] == "factored"
+    ("cylinder:c=1,L=10,h=0.05", ["--N", "2"], 1),
+], ids=["grid2", "grid3", "cylinder"])
+def test_dimension_counts_bench_inputs(tmp_path, capsys, monkeypatch, spec, flags, n):
+    # the benchmark's three dimension inputs, counted without any LP solve
+    def no_lp(*args, **kwargs):
+        raise AssertionError("dimension solved an LP")
+
+    monkeypatch.setattr(transport, "linprog", no_lp)
+    assert run(["dimension", spec, *flags, "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "metadata.json").read_text())["n"] == n
+    stages = strict_report(tmp_path)["stages"]
+    assert [st["status"] for st in stages[:n]] == ["factored"] * n
 
 
 @pytest.mark.parametrize("p", ["1", "inf"])
@@ -210,6 +220,17 @@ def test_split_command(tmp_path):
     assert_golden(tmp_path, "split")
 
 
+def test_split_without_line_exit_code(tmp_path, capsys):
+    # no point of a 1-D segment of radius 1 lies 5 from its base
+    code = run(["split", "euclidean-grid:1d,h=0.1,extent=1", "--L", "5",
+                "--tol-line", "0.1", "--out", str(tmp_path)])
+    assert code == cli.EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert "invalid input: no line found with L=5.0 and --tol-line 0.1" in err
+    assert "no line" not in out
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_blowup_command_with_target(tmp_path):
     code = run(["blowup", "euclidean-grid:2d,h=0.25,extent=4.5,shape=ball",
                 "--radii", "1,0.5", "--window", "4",
@@ -266,6 +287,22 @@ def test_transport_pair_limit_exit_code(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(transport, "ASSIGNMENT_PAIR_LIMIT", 120)
     monkeypatch.setattr(transport, "transport_lp", no_solve)
+    code = run(["w2", "euclidean-grid:1d,h=0.1,extent=0.5", "--mu0", "uniform",
+                "--mu1", "uniform", "--out", str(tmp_path)])
+    assert code == cli.EXIT_BUDGET
+    assert "11 x 11" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_unsettled_assignment_above_simplex_limit_exit_code(tmp_path, monkeypatch, capsys):
+    # 11 x 11 uniform pairs whose assignment duals do not settle, above the
+    # (lowered) simplex limit: refused instead of handed to the simplex
+    def no_simplex(*args, **kwargs):
+        raise AssertionError("the simplex ran")
+
+    monkeypatch.setattr(transport, "_sweep_duals", lambda arcs, tol: None)
+    monkeypatch.setattr(transport, "TRANSPORT_PAIR_LIMIT", 120)
+    monkeypatch.setattr(transport, "linprog", no_simplex)
     code = run(["w2", "euclidean-grid:1d,h=0.1,extent=0.5", "--mu0", "uniform",
                 "--mu1", "uniform", "--out", str(tmp_path)])
     assert code == cli.EXIT_BUDGET

@@ -8,7 +8,7 @@ from scipy.spatial.distance import cdist
 from mmslab import cli, core, models, pmgh, tangent_lab as tl
 from mmslab.core import FiniteSpace, PointedSpace
 
-from oracles import fiber_pair_mean, leader_medoids, projection_line
+from oracles import fiber_measure_defect, fiber_pair_mean, leader_medoids, projection_line
 
 
 def grid(dim, h, extent, shape="cube"):
@@ -306,19 +306,71 @@ class TestSplit:
 
     def test_measure_defect_ignores_rounding_of_b_at_the_base(self):
         # on an exact lattice the base's fiber column lies at b = 0 up to
-        # rounding, so no bin edge may fall there: setting those b to 0, to
-        # -1e-17 or to alternating +-1e-17 leaves the measure defect as it is
+        # rounding: setting those b to 0, to -1e-17 or to alternating
+        # +-1e-17 leaves the measure defect as it is, and so does relabeling
+        # the points and the fibers
         ps = grid(2, 0.05, 1.0)
         res = tl.split(ps, tl.detect_line(ps, L=0.9, eps=0.01))
         q = res.quotient
-        zero = np.abs(res.b) < 1e-12
+        b, ww, assign = res.b, ps.space.weights[res.window_idx], res.assignment
+        dprime, wq = q.space.metric, q.space.weights
+        zero = np.abs(b) < 1e-12
         assert zero.sum() > 10
-        alternating = np.where(np.arange(len(res.b)) % 2, 1e-17, -1e-17)
-        defects = [tl._product_measure_defect(
-            np.where(zero, moved, res.b), ps.space.weights[res.window_idx], res.assignment,
-            q.space.metric, q.space.weights, q.base, res.window)
-            for moved in (0.0, -1e-17, alternating)]
-        assert defects == pytest.approx([res.delta_measure] * 3, rel=1e-9)
+        alternating = np.where(np.arange(len(b)) % 2, 1e-17, -1e-17)
+        defects = [tl._product_measure_defect(np.where(zero, moved, b), ww, assign,
+                                              dprime, wq, q.base, res.window)
+                   for moved in (0.0, -1e-17, alternating)]
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            pts, label = rng.permutation(len(b)), rng.permutation(len(wq))
+            inv = np.argsort(label)
+            defects.append(tl._product_measure_defect(
+                b[pts], ww[pts], label[assign[pts]], dprime[np.ix_(inv, inv)], wq[inv],
+                label[q.base], res.window))
+        assert defects == pytest.approx([res.delta_measure] * 8, rel=0, abs=1e-12)
+
+    def test_measure_defect_matches_quadrature_oracle(self):
+        # random fibers 0-2 within 0.9 box of the base fiber 0, and fiber 3
+        # beyond it; fiber 2 has no box mass (one point outside the box, one
+        # of weight 0 inside). b ties, sits at +-box and falls outside the
+        # box; a_f lies above and below p_f
+        rng = np.random.default_rng(21)
+        T = pmgh.TELEPORT_COST
+        above = below = 0
+        for _ in range(70):
+            window = rng.uniform(0.5, 3.0)
+            box = window / np.sqrt(2.0)
+            n = int(rng.integers(4, 30))
+            assign = np.r_[0, 1, rng.integers(0, 2, n - 2), 2, 2, 3]
+            b = rng.uniform(-box, box, n + 3)
+            b[rng.integers(0, n, 3)] = b[0]
+            b[rng.integers(0, n, 2)] = [-box, box]
+            b[rng.integers(0, n, 2)] = rng.choice([-1.0, 1.0], 2) * box * 1.2
+            b[[n, n + 2]] = 1.1 * box
+            ww = rng.uniform(0.05, 1.0, n + 3)
+            ww[n + 1] = 0.0
+            a = np.bincount(assign, ww * (np.abs(b) <= box), minlength=4)
+            wq = a / (2 * box) * rng.uniform(0.5, 1.5, 4)
+            wq[2:] = rng.uniform(0.1, 1.0, 2)
+            dprime = np.zeros((4, 4))
+            dprime[0, 1:] = dprime[1:, 0] = np.r_[rng.uniform(0, 0.9, 2), 0.95] * box
+            got = tl._product_measure_defect(b, ww, assign, dprime, wq, 0, window)
+            fibers = [(b[assign == f], ww[assign == f] * (np.abs(b[assign == f]) <= box))
+                      for f in range(3)]
+            want = sum(fiber_measure_defect(x, w, wq[f], box, T)
+                       for f, (x, w) in enumerate(fibers)) / a[:3].sum()
+            # each jump of the step CDF costs the trapezoid at most its mass times
+            # the grid spacing
+            m = np.minimum(a[:3], 2 * box * wq[:3])
+            assert got == pytest.approx(want, rel=0, abs=m.sum() * 2 * box / 4e5 / a[:3].sum())
+            # the fiber without box mass is created at TELEPORT_COST
+            empty = wq.copy()
+            empty[2] = 0.0
+            alone = tl._product_measure_defect(b, ww, assign, dprime, empty, 0, window)
+            assert (got - alone) * a[:3].sum() == pytest.approx(T * 2 * box * wq[2], rel=1e-9)
+            above += int((a[:2] > 2 * box * wq[:2]).any())
+            below += int((a[:2] < 2 * box * wq[:2]).any())
+        assert above > 10 and below > 10
 
     def test_refuses_short_chain(self):
         ps = grid(2, 0.05, 1.0)

@@ -321,6 +321,18 @@ class TestAssignmentRoute:
         cert = transport.transport_lp(C, a, a)[4]
         assert cert["route"] == "simplex" and "sweeps" not in cert
 
+    def test_unsettled_sweeps_above_the_simplex_limit_raise(self, monkeypatch):
+        # an assignment problem within its own limit but above the simplex's
+        # is refused when its sweeps do not settle, and solved at the limit
+        monkeypatch.setattr(transport, "_sweep_duals", lambda arcs, tol: None)
+        sp = line_space(10)
+        mu = np.r_[np.full(5, 0.2), np.zeros(5)]
+        monkeypatch.setattr(transport, "TRANSPORT_PAIR_LIMIT", 25)
+        assert transport.w2(sp, mu, mu[::-1].copy()).meta["route"] == "simplex"
+        monkeypatch.setattr(transport, "TRANSPORT_PAIR_LIMIT", 24)
+        with pytest.raises(transport.TransportBudgetError, match="5 x 5 did not settle"):
+            transport.w2(sp, mu, mu[::-1].copy())
+
     def test_shifted_dual_raises(self, monkeypatch):
         solve = transport._sweep_duals
 
