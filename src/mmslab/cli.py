@@ -35,14 +35,19 @@ _BUDGET_ERRORS = (pmgh.PmghBudgetError, curvature.EnumerationBudgetError,
                   models.ModelBudgetError, transport.TransportBudgetError)
 
 
-def _load_pointed(arg: str) -> core.PointedSpace:
-    """A space argument is either a JSON file path or a model spec string."""
+def _load_pointed(arg: str, within: float | None = None) -> core.PointedSpace:
+    """A space argument is either a JSON file path or a model spec string.
+
+    With ``within``, the space is the closed ball of that radius about the
+    base: a model builds the metric of the ball only (its point budget still
+    counts the whole model), a JSON space is loaded whole and then cut, so
+    without a declared resolution it falls back to the ball's least distance."""
     if os.path.exists(arg) or arg.endswith(".json"):
         obj = core.load_space(arg)
-        if isinstance(obj, core.PointedSpace):
-            return obj
-        return core.PointedSpace(obj, int(np.argmax(obj.weights > 0)))
-    return models.make(models.parse_spec(arg))
+        if not isinstance(obj, core.PointedSpace):
+            obj = core.PointedSpace(obj, int(np.argmax(obj.weights > 0)))
+        return obj if within is None else core.ball_restrict(obj, within, "closed")
+    return models.make(models.parse_spec(arg), within)
 
 
 def _parse_measure(spec: str, ps: core.PointedSpace) -> np.ndarray:
@@ -218,8 +223,10 @@ def cmd_doubling(args) -> int:
 
 
 def cmd_ghdist(args) -> int:
-    A = _load_pointed(args.space_a)
-    B = _load_pointed(args.space_b)
+    # normalize_window reads the open unit ball and the window, nothing beyond
+    within = max(args.window, 1.0) if args.normalize else None
+    A = _load_pointed(args.space_a, within)
+    B = _load_pointed(args.space_b, within)
     if args.normalize:
         A = tangent_lab.normalize_window(A, args.window)
         B = tangent_lab.normalize_window(B, args.window)
@@ -287,7 +294,8 @@ def cmd_split(args) -> int:
 
 
 def cmd_dimension(args) -> int:
-    ps = _load_pointed(args.space)
+    # stage 0 reads the open unit ball (normalize_at) and the window, nothing beyond
+    ps = _load_pointed(args.space, max(args.window, 1.0))
     n, trace = tangent_lab.euclidean_dimension(ps, args.N, window=args.window)
     _write_report(args, {
         "stopped_because": trace.stopped_because,
@@ -387,7 +395,10 @@ def build_parser() -> argparse.ArgumentParser:
     # workloads (bench/workloads.py) pass it.
     common(sp, seed=True)
     sp.add_argument("--N", type=float, required=True)
-    sp.add_argument("--window", type=float, default=4.0)
+    sp.add_argument("--window", type=float, default=4.0,
+                    help="blow-up window radius; only the closed ball of radius "
+                         "max(window, 1) about the base is loaded and its metric "
+                         "built, while a model's point budget counts the whole model")
     sp.set_defaults(fn=cmd_dimension)
 
     sp = sub.add_parser("models", help="model-space registry")

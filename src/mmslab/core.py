@@ -98,9 +98,9 @@ class FiniteSpace:
         return float(self.weights[self.metric[center] < r].sum())
 
     def min_positive_distance(self) -> float:
-        d = self.metric[np.triu_indices(self.n, 1)]
-        d = d[d > 0]
-        return float(d.min()) if d.size else 0.0
+        """The least positive entry above the diagonal, or 0.0 if there is none."""
+        above = np.triu(self.metric > 0, 1)
+        return float(np.min(self.metric, where=above, initial=np.inf)) if above.any() else 0.0
 
     def declared_resolution(self) -> float:
         """Resolution metadata, falling back to the min positive distance."""
@@ -109,8 +109,11 @@ class FiniteSpace:
         return self.min_positive_distance()
 
     def subset(self, idx: np.ndarray) -> "FiniteSpace":
-        """Restriction to ``idx`` with the ambient (restricted-matrix) metric."""
+        """Restriction to ``idx`` with the ambient (restricted-matrix) metric;
+        this space itself when ``idx`` lists every point in order."""
         idx = np.asarray(idx, dtype=int)
+        if np.array_equal(idx, np.arange(self.n)):
+            return self
         interp = None if self.interpolator is None else self.interpolator.restrict(idx)
         return FiniteSpace(
             points=tuple(self.points[i] for i in idx),
@@ -125,8 +128,11 @@ class FiniteSpace:
         """Distances and the declared resolution times ``metric_factor``.
 
         Weights, coordinates and the interpolator (an index-level oracle,
-        invariant under scaling) are shared with this space.
+        invariant under scaling) are shared with this space; a factor of 1
+        returns this space itself.
         """
+        if metric_factor == 1.0:
+            return self
         res = None if self.resolution is None else self.resolution * metric_factor
         return replace(self, metric=self.metric * metric_factor, resolution=res)
 

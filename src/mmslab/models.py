@@ -13,14 +13,15 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .core import FiniteSpace, PointedSpace
+from .core import FiniteSpace, PointedSpace, ball_restrict
 from .transport import Interpolator
 
 __all__ = ["ModelSpec", "GroundTruth", "ModelBudgetError", "make", "ground_truth", "KINDS",
            "parse_spec"]
 
-# points per model space: its dense float64 metric takes n^2 * 8 bytes,
-# 1.8 GB at the limit
+# points per model space, counted over the whole model even when ``make``
+# builds the metric of a ball only: a full dense float64 metric takes
+# n^2 * 8 bytes, 1.8 GB at the limit
 MODEL_POINT_LIMIT = 15_000
 
 
@@ -353,34 +354,59 @@ def _int_tuples(arr: np.ndarray) -> tuple:
     return tuple(tuple(int(v) for v in row) for row in np.asarray(arr))
 
 
+def _ball(base_row: np.ndarray, base: int, within: float | None) -> tuple[np.ndarray, int]:
+    """The points of the closed ball of radius ``within`` about ``base`` (every
+    point when None), given the base's distance row, and the base's position
+    among them: the points that ``ball_restrict(.., within, "closed")`` keeps."""
+    if within is None:
+        return np.arange(len(base_row)), base
+    if within <= 0:
+        raise ValueError("ball radius must be positive")
+    idx = np.flatnonzero(base_row <= within)
+    return idx, int(np.searchsorted(idx, base))
+
+
 def _lattice_space(coords: np.ndarray, h: float, p: float, weights: np.ndarray,
-                   points: tuple | None = None) -> PointedSpace:
+                   within: float | None, points: tuple | None = None) -> PointedSpace:
     """An h-lattice sample of the lp norm (p = inf is the max norm) with its
-    snapping oracle, based at the point nearest the origin. Point ids default
-    to the integer lattice indices."""
+    snapping oracle, based at the point nearest the origin and cut to the
+    ball ``within`` about it. Point ids default to the integer lattice indices."""
     _check_size(len(coords))
-    if points is None:
-        points = _int_tuples(np.round(coords / h))
+    base = int(np.argmin(np.linalg.norm(coords, axis=1)))
+    idx, base = _ball(cdist(coords[base, None], coords, "minkowski", p=p)[0], base, within)
+    coords = coords[idx]
+    points = _int_tuples(np.round(coords / h)) if points is None else tuple(points[i] for i in idx)
     space = FiniteSpace(
         points=points, metric=cdist(coords, coords, "minkowski", p=p),
-        weights=weights, coords=coords,
+        weights=weights[idx], coords=coords,
         interpolator=GridInterpolator(coords, h, p=p), resolution=h,
     )
-    return PointedSpace(space, int(np.argmin(np.linalg.norm(coords, axis=1))))
+    return PointedSpace(space, base)
 
 
-def make(spec: ModelSpec) -> PointedSpace:
+def make(spec: ModelSpec, within: float | None = None) -> PointedSpace:
     """Build the model space; the interpolation oracle rides on the FiniteSpace.
 
-    A model of more than MODEL_POINT_LIMIT points raises ModelBudgetError
-    (CLI exit 3) once its point count is known, before any n x n array."""
+    With ``within``, the space is the closed ball of that radius about the
+    base, equal to ``ball_restrict(make(spec), within, "closed")``. The
+    lattice kinds and the cylinder cut their coordinates to the ball first
+    and build the metric of the ball only; the other kinds cut the full build.
+
+    A model of more than MODEL_POINT_LIMIT points, counted over the whole
+    model whatever ``within`` keeps, raises ModelBudgetError (CLI exit 3)
+    once its point count is known, before any n x n array."""
+    if spec.kind in ("sphere", "cone", "graph"):
+        ps = _make_full(spec)
+        return ps if within is None else ball_restrict(ps, within, "closed")
+
     if spec.kind == "euclidean-grid":
         coords = _lattice(spec.dim, spec.h, spec.extent, spec.shape)
-        return _lattice_space(coords, spec.h, 2.0, np.full(len(coords), spec.h**spec.dim))
+        return _lattice_space(coords, spec.h, 2.0, np.full(len(coords), spec.h**spec.dim),
+                              within)
 
     if spec.kind == "lp-plane":
         coords = _lattice(2, spec.h, spec.extent, "cube")
-        return _lattice_space(coords, spec.h, spec.p, np.full(len(coords), spec.h**2))
+        return _lattice_space(coords, spec.h, spec.p, np.full(len(coords), spec.h**2), within)
 
     if spec.kind == "cylinder":
         n_s = max(3, int(round(spec.circumference / spec.h)))
@@ -391,23 +417,47 @@ def make(spec: ModelSpec) -> PointedSpace:
         Z, S = np.meshgrid(zs, ss, indexing="ij")
         coords = np.stack([Z.ravel(), S.ravel()], axis=1)
         _check_size(len(coords))
-        # axial and arc separations per pair of rows/rings, broadcast to the
-        # (z, s) x (z, s) point pairs
+        # axial and arc separations per pair of rows/rings, gathered for the
+        # point pairs by each point's row zi and ring si
         dz = np.abs(zs[:, None] - zs[None, :])
         raw = np.abs(ss[:, None] - ss[None, :])
         darc = np.minimum(raw, spec.circumference - raw)
-        n = len(coords)
-        metric = np.hypot(dz[:, None, :, None], darc[None, :, None, :]).reshape(n, n)
-        weights = np.full(len(coords), spec.h * hs)
+        zi, si = np.divmod(np.arange(len(coords)), n_s)
+        base = int(np.argmin(np.hypot(coords[:, 0], coords[:, 1])))
+        idx, base = _ball(np.hypot(dz[zi[base], zi], darc[si[base], si]), base, within)
+        coords, zi, si = coords[idx], zi[idx], si[idx]
+        metric = dz[zi].take(zi, axis=1)
+        for k in range(0, len(si), 256):  # the arcs by row blocks, in place
+            np.hypot(metric[k:k + 256], darc[si[k:k + 256]].take(si, axis=1),
+                     out=metric[k:k + 256])
         interp = CylinderInterpolator(coords, spec.h, spec.circumference, n_s)
         space = FiniteSpace(
             points=_int_tuples(np.round(coords / spec.h)),
-            metric=metric, weights=weights, coords=coords,
+            metric=metric, weights=np.full(len(coords), spec.h * hs), coords=coords,
             interpolator=interp, resolution=max(spec.h, hs),
         )
-        base = int(np.argmin(np.hypot(coords[:, 0], coords[:, 1])))
         return PointedSpace(space, base)
 
+    if spec.kind == "weighted-segment":
+        coords = _lattice(1, spec.h, spec.extent, "cube")
+        x = coords[:, 0]
+        u = x / spec.extent
+        profiles = {
+            "uniform": np.ones_like(u),
+            "linear": 1.0 + 0.45 * u,
+            "quadratic": 0.25 + u**2,
+            "exp": np.exp(u),
+        }
+        if spec.profile not in profiles:
+            raise ValueError(f"unknown weight profile {spec.profile!r}")
+        return _lattice_space(coords, spec.h, 2.0, spec.h * profiles[spec.profile], within,
+                              points=tuple(int(round(v / spec.h)) for v in x))
+
+    raise ValueError(f"unknown model kind {spec.kind!r}")
+
+
+def _make_full(spec: ModelSpec) -> PointedSpace:
+    """The whole sphere, cone or graph model, metric and all."""
     if spec.kind == "sphere":
         n = spec.n_points
         _check_size(n)
@@ -458,21 +508,6 @@ def make(spec: ModelSpec) -> PointedSpace:
         )
         return PointedSpace(space, 0)  # apex at the basepoint
 
-    if spec.kind == "weighted-segment":
-        coords = _lattice(1, spec.h, spec.extent, "cube")
-        x = coords[:, 0]
-        u = x / spec.extent
-        profiles = {
-            "uniform": np.ones_like(u),
-            "linear": 1.0 + 0.45 * u,
-            "quadratic": 0.25 + u**2,
-            "exp": np.exp(u),
-        }
-        if spec.profile not in profiles:
-            raise ValueError(f"unknown weight profile {spec.profile!r}")
-        return _lattice_space(coords, spec.h, 2.0, spec.h * profiles[spec.profile],
-                              points=tuple(int(round(v / spec.h)) for v in x))
-
     if spec.kind == "graph":
         from scipy.sparse import coo_matrix
         from scipy.sparse.csgraph import connected_components, shortest_path
@@ -505,5 +540,3 @@ def make(spec: ModelSpec) -> PointedSpace:
             resolution=float(np.median(edge_lengths)),
         )
         return PointedSpace(space, 0)
-
-    raise ValueError(f"unknown model kind {spec.kind!r}")

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mmslab import cli, core, models, pmgh, transport
+from mmslab import cli, core, models, pmgh, tangent_lab, transport
 from mmslab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -152,15 +152,56 @@ def test_dimension_command(tmp_path, capsys):
     ("cylinder:c=1,L=10,h=0.05", ["--N", "2"], 1),
 ], ids=["grid2", "grid3", "cylinder"])
 def test_dimension_counts_bench_inputs(tmp_path, capsys, monkeypatch, spec, flags, n):
-    # the benchmark's three dimension inputs, counted without any LP solve
+    # the benchmark's three dimension inputs, counted without any LP solve,
+    # and with a traced peak below 2.5 metrics of the window ball (every
+    # window here is at least 1, so stage 0's member is the whole ball)
     def no_lp(*args, **kwargs):
         raise AssertionError("dimension solved an LP")
 
     monkeypatch.setattr(transport, "linprog", no_lp)
-    assert run(["dimension", spec, *flags, "--out", str(tmp_path)]) == 0
+    tracemalloc.start()
+    try:
+        assert run(["dimension", spec, *flags, "--out", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert json.loads((tmp_path / "metadata.json").read_text())["n"] == n
     stages = strict_report(tmp_path)["stages"]
     assert [st["status"] for st in stages[:n]] == ["factored"] * n
+    window_metric = stages[0]["member_points"] ** 2 * 8
+    assert peak < 2.5 * window_metric, f"peak {peak / window_metric:.2f} window metrics"
+
+
+@pytest.mark.parametrize("spec", ["euclidean-grid:2d,h=0.125,extent=2.5,shape=ball",
+                                  "lp-plane:p=inf,h=0.25,extent=3"], ids=["grid2", "lp-inf"])
+@pytest.mark.parametrize("window", [[], ["--window", "0.8"]], ids=["default", "0.8"])
+def test_dimension_reads_only_the_ball_of_max_window_1(tmp_path, capsys, spec, window):
+    # the command loads the closed ball of radius max(window, 1): stage 0
+    # normalizes over the open unit ball, so a window below 1 still keeps it,
+    # and the stages read the same as on the whole model; a run that splits
+    # nothing leaves the loaded ball as its remainder
+    assert run(["dimension", spec, "--N", "2", *window, "--out", str(tmp_path)]) == 0
+    w = float(window[1]) if window else 4.0
+    full = models.make(models.parse_spec(spec))
+    n, trace = tangent_lab.euclidean_dimension(full, 2, window=w)
+    report = strict_report(tmp_path)
+    assert report["stages"] == cli._plain(trace.records)
+    assert report["stopped_because"] == trace.stopped_because
+    ball = int((full.base_distances() <= max(w, 1.0)).sum())
+    assert report["remainder_points"] == (trace.remainder.n if n else ball)
+
+
+def test_whole_subset_and_unit_scaling_share_the_space():
+    ps = models.make(models.parse_spec("euclidean-grid:2d,h=0.25,extent=2,shape=ball"))
+    sp = ps.space
+    assert sp.subset(np.arange(sp.n)) is sp and sp.scaled(1.0) is sp
+    part = sp.subset(np.arange(sp.n - 1))
+    assert not np.shares_memory(part.metric, sp.metric)
+    assert np.array_equal(part.metric, sp.metric[:-1, :-1])
+    # a window that keeps every point: the r = 1 member shares the input metric
+    member = tangent_lab.blowup(ps, (1.0,), window=2.0).members[0]
+    assert member.space.n == sp.n
+    assert np.shares_memory(member.space.space.metric, sp.metric)
 
 
 @pytest.mark.parametrize("p", ["1", "inf"])

@@ -297,6 +297,24 @@ class TestSpaceJson:
 
 
 class TestInvariantsMisc:
+    def test_min_positive_distance_matches_the_index_formula(self):
+        # the least positive entry above the diagonal, as the triu_indices
+        # formula took it, on matrices with zeros, asymmetry, infinities and n = 1
+        def by_indices(D):
+            d = D[np.triu_indices(len(D), 1)]
+            d = d[d > 0]
+            return float(d.min()) if d.size else 0.0
+
+        rng = np.random.default_rng(5)
+        mats = [np.zeros((1, 1)), np.zeros((3, 3)), np.array([[0.0, 0.0], [2.0, 0.0]]),
+                np.array([[0.0, np.inf], [np.inf, 0.0]])]
+        for n in (2, 3, 7, 20):
+            D = rng.uniform(0.0, 5.0, (n, n)) * (rng.random((n, n)) < 0.6)
+            mats += [D, D.T, np.where(rng.random((n, n)) < 0.8, 0.0, -D)]
+        for D in mats:
+            got = FiniteSpace(tuple(range(len(D))), D, np.ones(len(D))).min_positive_distance()
+            assert got == by_indices(D) and type(got) is float
+
     def test_basepoint_must_be_in_support(self):
         sp = FiniteSpace((0, 1), np.array([[0, 1.0], [1.0, 0]]), np.array([1.0, 0.0]))
         with pytest.raises(ValueError):

@@ -234,6 +234,45 @@ def test_dropped_midpoint_is_not_replaced_by_an_endpoint(name):
     assert checked == 8
 
 
+def _assert_make_within_is_the_ball(spec, full, w):
+    """make(spec, within=w) equals the closed ball of the full build: every
+    field bit for bit, and the oracles' answers to midpoint queries."""
+    want = core.ball_restrict(full, w, "closed")
+    got = make(spec, within=w)
+    assert got.base == want.base
+    a, b = got.space, want.space
+    for field in ("metric", "weights", "coords"):
+        x, y = getattr(a, field), getattr(b, field)
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+    assert a.points == b.points and a.resolution == b.resolution
+    assert type(a.interpolator) is type(b.interpolator)
+    ii, jj = np.random.default_rng(3).integers(got.n, size=(2, 12))
+    assert np.array_equal(a.interpolator.many(ii, jj, 0.5), b.interpolator.many(ii, jj, 0.5))
+    return got
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: f"{s.kind}-{s.dim}d-{s.p}")
+def test_make_within_equals_the_closed_ball_of_the_full_build(spec):
+    # radii that keep every point, the base alone (below the spacing h), and
+    # a distance from the base that the most points share
+    full = make(spec)
+    d = full.base_distances()
+    values, counts = np.unique(d[d > 0], return_counts=True)
+    assert values[0] / 2 < full.space.declared_resolution()
+    assert _assert_make_within_is_the_ball(spec, full, d.max() + 1.0).n == full.n
+    assert _assert_make_within_is_the_ball(spec, full, values[0] / 2).n == 1
+    _assert_make_within_is_the_ball(spec, full, values[np.argmax(counts)])
+    assert {s.kind for s in ALL_SPECS} == set(models.KINDS)
+
+
+def test_make_within_keeps_a_lattice_distance_tie():
+    # the benchmark's dimension grid2 lattice (h = 0.125), cut at 1.25: the
+    # (+-10, 0), (0, +-10), (+-6, +-8) and (+-8, +-6) cells all lie exactly on it
+    spec = ModelSpec("euclidean-grid", dim=2, h=0.125, extent=2.5, shape="ball")
+    got = _assert_make_within_is_the_ball(spec, make(spec), 1.25)
+    assert (got.base_distances() == 1.25).sum() == 12
+
+
 def test_cone_geodesic_through_the_apex():
     # on a cone of total angle 2.5 pi, points 1.25 pi apart around the axis
     # are joined through the apex: in along one ray, out along the other
