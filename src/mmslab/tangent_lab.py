@@ -254,6 +254,13 @@ class LineCandidate:
         return float(np.median(np.diff(self.params)))
 
 
+_ROW_BLOCK = 32   # rows per block of the passes over a shell or window (cache-sized)
+
+
+def _row_blocks(n: int):
+    return (slice(lo, lo + _ROW_BLOCK) for lo in range(0, n, _ROW_BLOCK))
+
+
 def _projection_chain(D: np.ndarray, o: int, p: int, q: int, end: float, h: float,
                       eps: float) -> tuple[np.ndarray, np.ndarray, float]:
     """The chain of :func:`detect_line` for the ends (p, q), its arms ending at
@@ -281,7 +288,8 @@ def detect_line(ps: PointedSpace, L: float, eps: float) -> LineCandidate | None:
 
     - ends: each point of the shell |d(o, .) - L| <= step is paired with
       the shell point of least excess d(p, o) + d(o, q) - d(p, q) at the
-      base, ties going to the farthest; a pair is taken with p < q;
+      base, ties going to the farthest (found over row blocks of the shell,
+      no shell x shell array is formed); a pair is taken with p < q;
     - bins: the tube points x of excess d(p, x) + d(x, q) - d(p, q) <= eps/2
       are binned by rint(t/h), where t(x) = (d(p, x) - d(q, x))/2 -
       (d(p, o) - d(q, o))/2 projects x on the line (t(o) = 0, increasing
@@ -310,10 +318,12 @@ def detect_line(ps: PointedSpace, L: float, eps: float) -> LineCandidate | None:
     shell = np.flatnonzero(np.abs(D[o] - L) <= step)
     if shell.size < 2:
         return None
-    Ds = D[np.ix_(shell, shell)]
-    at_base = D[o, shell][:, None] + D[o, shell] - Ds
-    near = at_base <= at_base.min(axis=1, keepdims=True) + tie
-    far = np.argmax(np.where(near, Ds, -1.0), axis=1)
+    far = np.empty(shell.size, dtype=int)
+    for r in _row_blocks(shell.size):
+        Ds = D[np.ix_(shell[r], shell)]
+        at_base = D[o, shell[r]][:, None] + D[o, shell] - Ds
+        near = at_base <= at_base.min(axis=1, keepdims=True) + tie
+        far[r] = np.argmax(np.where(near, Ds, -1.0), axis=1)
     P, Q = np.unique(np.sort(np.stack([shell, shell[far]], axis=1), axis=1), axis=0).T
     span = D[P, Q]
     floor = D[P, o] + D[Q, o] - span
@@ -359,18 +369,14 @@ class SplitResult:
                 f"delta_measure {self.delta_measure:.4g}")
 
 
-_ROW_BLOCK = 32   # rows per block of the n x n passes over the window (cache-sized)
-
-
-def _row_blocks(n: int):
-    return (slice(lo, lo + _ROW_BLOCK) for lo in range(0, n, _ROW_BLOCK))
-
-
-def _quotient_sq(Dw: np.ndarray, b: np.ndarray, I, J) -> np.ndarray:
-    """d^2 - (b_I - b_J)^2 on rows I and columns J, each an index array or a
-    slice: the squared quotient distance a product metric leaves after the line."""
-    block = Dw[I, J] if slice in (type(I), type(J)) else Dw[np.ix_(I, J)]
-    return block ** 2 - (b[I][:, None] - b[J][None, :]) ** 2
+def _quotient_sq(d: np.ndarray, b_rows: np.ndarray, b_cols: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """d^2 - (b_rows - b_cols)^2 in place of distances d (``out``: room for the
+    b differences), the squared quotient distance a product leaves after the line."""
+    db = np.subtract.outer(b_rows, b_cols, out=out)
+    np.square(d, out=d)
+    d -= np.square(db, out=db)
+    return d
 
 
 def split(ps: PointedSpace, line: LineCandidate, window: float | None = None) -> SplitResult:
@@ -382,16 +388,18 @@ def split(ps: PointedSpace, line: LineCandidate, window: float | None = None) ->
     parameter s, shifted to 0 at the base. On a metric product that profile
     is -2 b s + b^2 + d'^2, so b is exact there. The central level set
     |b| <= 1.5 max(h, step/2) is clustered into representatives (points
-    whose quotient distance is within h/2 merge), every windowed point joins
-    the fiber of its nearest representative, d'^2 of two fibers is the
-    mass-weighted mean of max(0, d^2 - (b-b)^2) over all their point pairs,
-    and the measure is pushed forward with per-fiber extent normalization.
-    ``delta_metric`` is the exact maximum over all pairs of windowed points
-    of |d^2 - (b-b)^2 - d'^2|^(1/2); ``delta_measure`` bounds the teleport
-    distance per unit mass between the measure and m' x length on the box
-    |b| <= window/sqrt(2) from above (``_product_measure_defect``), and no
-    gate reads it. The line is certified only along its chain, so the split
-    refuses a window that the chain does not pass by 1.25 steps on each side.
+    whose quotient distance is within h/2 merge), and every windowed point
+    joins the fiber of its nearest representative. One pass over row blocks
+    of the metric, read in place, gives d'^2 of two fibers, the mass-weighted
+    mean of max(0, d^2 - (b-b)^2) over all their point pairs, and the extremes
+    of d^2 - (b-b)^2 per fiber pair, from which ``delta_metric``, the maximum
+    over all pairs of windowed points of |d^2 - (b-b)^2 - d'^2|^(1/2), follows
+    exactly. The measure is pushed forward with per-fiber extent
+    normalization; ``delta_measure`` bounds the teleport distance per unit
+    mass between it and m' x length on the box |b| <= window/sqrt(2) from
+    above (``_product_measure_defect``), and no gate reads it. The line is
+    certified only along its chain, so the split refuses a window that the
+    chain does not pass by 1.25 steps on each side.
     """
     space = ps.space
     D = space.metric
@@ -410,7 +418,6 @@ def split(ps: PointedSpace, line: LineCandidate, window: float | None = None) ->
 
     h = space.declared_resolution()
     idx = np.flatnonzero(D[ps.base] <= window)
-    Dw = D[np.ix_(idx, idx)]
     ww = space.weights[idx]
     base_pos = int(np.searchsorted(idx, ps.base))
 
@@ -418,9 +425,7 @@ def split(ps: PointedSpace, line: LineCandidate, window: float | None = None) ->
     b = -0.5 * ((D[np.ix_(idx, chain)] ** 2 - params ** 2) @ s) / (s @ s)
     b = b - b[base_pos]
 
-    half = 1.5 * max(h, step / 2.0)
-    slice_mask = np.abs(b) <= half
-    slice_pos = np.flatnonzero(slice_mask)
+    slice_pos = np.flatnonzero(np.abs(b) <= 1.5 * max(h, step / 2.0))
     if slice_pos.size == 0:
         raise LineTooShortError("empty central slice; resolution too coarse")
 
@@ -431,26 +436,44 @@ def split(ps: PointedSpace, line: LineCandidate, window: float | None = None) ->
     rest = slice_pos[np.lexsort((slice_pos, -ww[slice_pos]))]
     reps: list[int] = []
     while rest.size:
-        near = _quotient_sq(Dw, b, rest, rest[:1])[:, 0] <= tol * tol
+        near = _quotient_sq(D[idx[rest], idx[rest[0]]], b[rest], b[rest[0]]) <= tol * tol
         near[0] = True
         mem = rest[near]
-        cost = (np.sqrt(np.maximum(_quotient_sq(Dw, b, mem, mem), 0.0))
-                * ww[mem][None, :]).sum(axis=1)
+        q = _quotient_sq(D[np.ix_(idx[mem], idx[mem])], b[mem], b[mem])
+        cost = (np.sqrt(np.maximum(q, 0.0)) * ww[mem][None, :]).sum(axis=1)
         reps.append(int(mem[np.argmin(cost)]))
         rest = rest[~near]
     reps_arr = np.asarray(reps, dtype=int)
 
     # assign every windowed point to its nearest representative fiber
-    assign = np.argmin(np.maximum(_quotient_sq(Dw, b, slice(None), reps_arr), 0.0), axis=1)
+    q = _quotient_sq(D[np.ix_(idx, idx[reps_arr])], b, b[reps_arr])
+    assign = np.argmin(np.maximum(q, 0.0), axis=1)
 
-    # d'^2 of two fibers: the ww-weighted mean of max(0, d^2 - (b - b)^2) over
-    # all their point pairs, W Q W^T / (m m^T) with W[assign[x], x] = ww[x],
-    # summed over row blocks of Q so that Q is never formed whole
+    # one pass over row blocks of Q = d^2 - (b - b)^2, read from D into reused
+    # buffers (``take`` fills ``out`` directly only in mode "clip"). Columns go
+    # in fiber order by a stable sort, so W_cols, W on those columns, adds each
+    # fiber's terms in W's order; a fiber that a tie left empty gets no segment.
+    # d'^2 of two fibers is the ww-weighted mean of max(0, Q) over their point
+    # pairs, W max(0, Q) W^T / (m m^T) with W[assign[x], x] = ww[x]; q_hi and
+    # q_lo hold each row's extremes of Q per fiber, the rows in fiber order
     n, M = len(idx), len(reps_arr)
+    order = np.argsort(assign, kind="stable")
+    rank = np.argsort(order)
+    starts = np.flatnonzero(np.diff(assign[order], prepend=-1))
+    filled = assign[order][starts]
     W = csr_matrix((ww, (assign, np.arange(n))), shape=(M, n))
+    W_cols = csr_matrix((ww[order], (assign[order], np.arange(n))), shape=(M, n))
+    cols, b_cols = idx[order], b[order]
     num = np.zeros((M, M))
+    q_hi, q_lo = np.empty((2, n, filled.size))
+    Q_buf, db_buf = np.empty((2, _ROW_BLOCK, n))
     for r in _row_blocks(n):
-        num += W[:, r] @ (W @ np.maximum(_quotient_sq(Dw, b, r, slice(None)), 0.0).T).T
+        rows = idx[r]
+        Q = np.take(D[rows], cols, axis=1, out=Q_buf[:rows.size], mode="clip")
+        _quotient_sq(Q, b[r], b_cols, db_buf[:rows.size])
+        q_hi[rank[r]] = np.maximum.reduceat(Q, starts, axis=1)
+        q_lo[rank[r]] = np.minimum.reduceat(Q, starts, axis=1)
+        num += W[:, r] @ (W_cols @ np.maximum(Q, 0.0, out=Q).T).T
     mass = np.bincount(assign, weights=ww, minlength=M)
     den = np.outer(mass, mass)
     dprime = np.triu(np.sqrt(np.divide(num, den, out=np.zeros((M, M)), where=den > 0)), 1)
@@ -458,20 +481,21 @@ def split(ps: PointedSpace, line: LineCandidate, window: float | None = None) ->
 
     # pushforward weights with per-fiber extent normalization; an empty
     # fiber keeps weight 0
-    lo, hi = np.full(M, np.inf), np.full(M, -np.inf)
-    np.minimum.at(lo, assign, b)
-    np.maximum.at(hi, assign, b)
-    wq = np.divide(mass, hi - lo + max(h, step), out=np.zeros(M), where=hi >= lo)
+    wq = np.zeros(M)
+    wq[filled] = mass[filled] / (np.maximum.reduceat(b_cols, starts)
+                                 - np.minimum.reduceat(b_cols, starts) + max(h, step))
 
     q_points = tuple(space.points[idx[r]] for r in reps_arr)
     quotient_space = FiniteSpace(points=q_points, metric=dprime, weights=wq,
                                  resolution=space.resolution)
     quotient = PointedSpace(quotient_space, int(assign[base_pos]))
 
-    # metric defect: exact maximum over all pairs, one block of rows at a time
-    q2 = (dprime ** 2)[assign]
-    resid = max(float(np.abs(_quotient_sq(Dw, b, r, slice(None)) - q2[r][:, assign]).max())
-                for r in _row_blocks(n))
+    # metric defect, the exact maximum of |Q - d'^2| over all pairs: with c =
+    # d'^2 of a fiber pair, fl(a - c) does not decrease as a grows and fl(c - a)
+    # = -fl(a - c), so the pair's maximum is max(fl(Qmax - c), fl(c - Qmin))
+    c = dprime[np.ix_(filled, filled)] ** 2
+    resid = max((np.maximum.reduceat(q_hi, starts) - c).max(),
+                (c - np.minimum.reduceat(q_lo, starts)).max())
     delta_metric = float(np.sqrt(resid))
 
     delta_measure = _product_measure_defect(

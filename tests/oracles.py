@@ -14,7 +14,8 @@ networkx's preflow-push instead of a min-cut enumeration, the split's
 representatives from a point-by-point leader loop instead of one sweep per
 representative, the line's chain from every end pair binned point by point
 and ranked at once instead of built lazily, its quotient metric from a loop over fiber pairs and
-their point pairs instead of one blocked sparse product, its measure
+their point pairs instead of one blocked sparse product, its metric defect
+from every point pair instead of the extremes per fiber pair, its measure
 defect per fiber by trapezoid quadrature of the CDF gap instead of the
 closed form over quantile bands, and the targets
 of the models' geodesic oracles from closed forms per pair (complex numbers
@@ -294,6 +295,16 @@ def fiber_pair_mean(Dw: np.ndarray, b: np.ndarray, ww: np.ndarray,
                 q = np.maximum(Dw[np.ix_(fa, fc)] ** 2 - np.subtract.outer(b[fa], b[fc]) ** 2, 0)
                 out[a, c] = np.sqrt((w * q).sum() / w.sum())
     return out
+
+
+def pairwise_split_defect(Dw: np.ndarray, b: np.ndarray, dprime: np.ndarray,
+                          assign: np.ndarray) -> float:
+    """The split's metric defect pair by pair: the square root of the largest
+    |d^2 - (b - b)^2 - d'^2| over all pairs of windowed points, d' taken
+    between their fibers, one point's row of pairs at a time."""
+    c = dprime ** 2
+    return float(np.sqrt(max(np.abs(Dw[x] ** 2 - (b[x] - b) ** 2 - c[assign[x], assign]).max()
+                             for x in range(len(b)))))
 
 
 def projection_line(D: np.ndarray, o: int, L: float, eps: float, h: float):

@@ -1,5 +1,6 @@
 """Blow-ups, tangent matching, line detection, splitting, dimension iteration."""
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from scipy.spatial.distance import cdist
 from mmslab import cli, core, models, pmgh, tangent_lab as tl
 from mmslab.core import FiniteSpace, PointedSpace
 
-from oracles import fiber_measure_defect, fiber_pair_mean, leader_medoids, projection_line
+from oracles import (fiber_measure_defect, fiber_pair_mean, leader_medoids, pairwise_split_defect,
+                     projection_line)
 
 
 def grid(dim, h, extent, shape="cube"):
@@ -43,10 +45,58 @@ def jittered_bench_grid2(frac, seed):
     """The bench ``grid2`` space (h = 0.125), jittered. Only the points within
     window + h = 4.125 of the base are kept: no other point can enter the
     window of 4 under a jitter below h/4."""
-    ps = models.make(models.parse_spec("euclidean-grid:2d,h=0.125,extent=5,shape=ball"))
-    keep = np.flatnonzero(ps.base_distances() <= 4.0 + 0.125)
-    return jitter_all(PointedSpace(ps.space.subset(keep), int(np.searchsorted(keep, ps.base))),
-                      frac, seed)
+    ps = models.make(models.parse_spec("euclidean-grid:2d,h=0.125,extent=5,shape=ball"), 4.0 + 0.125)
+    return jitter_all(ps, frac, seed)
+
+
+def stage_zero(ps, window):
+    """The first stage of euclidean_dimension: its blow-up member and line."""
+    Y = tl.blowup(ps, (1.0,), window=window, min_cells=3.0).finest_usable().space
+    return Y, stage_line(Y, window)
+
+
+def stage_line(Y, window):
+    """euclidean_dimension's line search on a member for ``window``."""
+    h = Y.space.declared_resolution()
+    return tl.detect_line(Y, 0.9 * window, max(1.5 * h, 0.025 * window))
+
+
+# the benchmark's dimension inputs and their windows
+BENCH_DIMENSION = {"grid2": ("euclidean-grid:2d,h=0.125,extent=5,shape=ball", 4.0),
+                   "grid3": ("euclidean-grid:3d,h=0.25,extent=2.5,shape=ball", 2.0),
+                   "cylinder": ("cylinder:c=1,L=10,h=0.05", 4.0)}
+
+
+@pytest.fixture(scope="module")
+def bench_members():
+    """Stage 0 of each bench dimension input, built once: (member, line)."""
+    return {name: stage_zero(models.make(models.parse_spec(spec), max(window, 1.0)), window)
+            for name, (spec, window) in BENCH_DIMENSION.items()}
+
+
+def plane_cloud(seed):
+    """600 random points of the square [-1.6, 1.6]^2 with random weights,
+    and the x axis sampled at h = 0.1 as a hand-made line through the base."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(-20, 21) * 0.1
+    X = np.r_[np.c_[t, np.zeros_like(t)], rng.uniform(-1.6, 1.6, (600, 2))]
+    w = np.r_[np.ones(t.size), rng.uniform(0.5, 1.5, 600)]
+    space = FiniteSpace(tuple(range(len(X))), cdist(X, X), w / w.sum(), resolution=0.1)
+    line = tl.LineCandidate(chain=np.arange(t.size), params=t, eps_line=0.0, length=4.0)
+    return PointedSpace(space, 20), line
+
+
+def assert_split_matches_oracles(ps, line):
+    """split's metric defect equals the pairwise maximum exactly, and its
+    quotient metric is the fiber-pair mean."""
+    res = tl.split(ps, line)
+    idx = res.window_idx
+    Dw = ps.space.metric[np.ix_(idx, idx)]
+    got = res.quotient.space.metric
+    assert res.delta_metric == pairwise_split_defect(Dw, res.b, got, res.assignment)
+    expect = fiber_pair_mean(Dw, res.b, ps.space.weights[idx], res.assignment)
+    assert np.abs(got - expect).max() <= 1e-12
+    return res
 
 
 class TestBlowup:
@@ -371,6 +421,54 @@ class TestSplit:
             above += int((a[:2] > 2 * box * wq[:2]).any())
             below += int((a[:2] < 2 * box * wq[:2]).any())
         assert above > 10 and below > 10
+
+    @pytest.mark.parametrize("name", list(BENCH_DIMENSION))
+    def test_defect_is_the_pairwise_maximum_on_bench_members(self, bench_members, name):
+        assert_split_matches_oracles(*bench_members[name])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_defect_is_the_pairwise_maximum_on_jittered_grid2(self, seed):
+        assert_split_matches_oracles(*stage_zero(jittered_bench_grid2(0.05, seed), 4.0))
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_defect_is_the_pairwise_maximum_on_plane_clouds(self, seed):
+        assert_split_matches_oracles(*plane_cloud(seed))
+
+    def test_empty_fiber_matches_the_oracles(self):
+        # a bare matrix (not a metric: d(B, C) < |b(B) - b(C)|) whose central
+        # slice clusters into {o, B, E} with medoid B, {C} and {F}; C ties
+        # with B at quotient distance 0 and joins B's fiber, so C's is empty
+        s = np.arange(-10, 11) * 0.2
+        b = np.array([0.0, 0.0, 0.12, 0.0])                 # B, E, C, F
+        gap = np.sqrt(np.array([0.04, 0.04, 0.14, 1.0]) ** 2 - b ** 2)
+        D = np.zeros((25, 25))
+        D[:21, :21] = np.abs(np.subtract.outer(s, s))
+        D[:21, 21:] = np.sqrt(np.subtract.outer(s, b) ** 2 + gap ** 2)
+        D[21:, :21] = D[:21, 21:].T
+        D[21:, 21:] = [[0, 0.03, 0.108, 1], [0.03, 0, 0.13, 1], [0.108, 0.13, 0, 1], [1, 1, 1, 0]]
+        w = np.r_[np.full(10, 0.5), 1.0, np.full(10, 0.5), 0.95, 0.9, 0.6, 0.55]
+        ps = PointedSpace(FiniteSpace(tuple(range(25)), D, w / w.sum(), resolution=0.1), 10)
+        line = tl.LineCandidate(chain=np.arange(21), params=s, eps_line=0.0, length=4.0)
+        res = assert_split_matches_oracles(ps, line)
+        assert list(res.rep_idx) == [21, 23, 24]
+        assert np.bincount(res.assignment, minlength=3).tolist()[1] == 0
+        assert res.quotient.space.weights[1] == 0.0
+        assert not res.quotient.space.metric[1].any()
+
+    @pytest.mark.parametrize("name", list(BENCH_DIMENSION))
+    def test_line_and_split_hold_no_window_copy(self, bench_members, name):
+        # detect_line and split each allocate under a quarter of the member's
+        # metric on top of it
+        Y, line = bench_members[name]
+        metric = Y.n ** 2 * 8
+        for call in (lambda: stage_line(Y, BENCH_DIMENSION[name][1]), lambda: tl.split(Y, line)):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 0.25 * metric, f"peak {peak / metric:.2f} member metrics"
 
     def test_refuses_short_chain(self):
         ps = grid(2, 0.05, 1.0)
