@@ -140,7 +140,7 @@ def cmd_w2(args) -> int:
     ps = _load_pointed(args.space)
     mu0 = _parse_measure(args.mu0, ps)
     mu1 = _parse_measure(args.mu1, ps)
-    res = transport.w2(ps.space, mu0, mu1, solver=args.solver, reg=args.reg)
+    res = transport.w2(ps.space, mu0, mu1)
     _write_csv(args, "plan.csv", ["i", "j", "mass"], res.plan.to_triplet_rows())
     _write_report(args, {
         "cost_squared": res.cost_squared,
@@ -332,12 +332,11 @@ def build_parser() -> argparse.ArgumentParser:
         if svg:
             sp.add_argument("--svg", action="store_true")
 
-    sp = sub.add_parser("w2", help="quadratic transport between two measures")
+    sp = sub.add_parser("w2", help="exact quadratic transport between two measures; "
+                                   "above its route's pair limit it exits 3")
     common(sp)
     sp.add_argument("--mu0", required=True)
     sp.add_argument("--mu1", required=True)
-    sp.add_argument("--solver", choices=("exact", "entropic"), default="exact")
-    sp.add_argument("--reg", type=float, default=1e-2)
     sp.set_defaults(fn=cmd_w2)
 
     sp = sub.add_parser("cdstar", help="entropy-convexity inequality check")

@@ -229,7 +229,8 @@ def cdstar_check(
     compares the Renyi energy of each interpolated measure (LHS) against the
     sigma-weighted marginal-density integral (RHS); slack = RHS - LHS must
     stay above -tol (default 5 * declared resolution * diameter; a given tol
-    must be finite and nonnegative).
+    must be finite and nonnegative). An empty ``t_grid`` or ``nprime_grid``
+    raises ValueError.
     ``mode='dirac_target'`` keeps only the backward density term, mirroring
     the one-sided estimate used when the target is a Dirac.
 
@@ -250,6 +251,9 @@ def cdstar_check(
         raise ValueError("mode must be 'two_sided' or 'dirac_target'")
     if nprime_grid is None:
         nprime_grid = tuple(sorted({float(N), float(N) + 1.0, 2.0 * float(N)}))
+    for name, grid in (("t_grid", t_grid), ("nprime_grid", nprime_grid)):
+        if len(grid) == 0:
+            raise ValueError(f"{name} is empty")
     if tol is None:
         tol = 5.0 * space.declared_resolution() * space.diameter
     elif not (math.isfinite(tol) and tol >= 0):
@@ -260,7 +264,7 @@ def cdstar_check(
                            t_grid, nprime_grid, mode)
         return min(r.slack for r in rows), rows
 
-    base = w2(space, mu0, mu1, solver="exact")
+    base = w2(space, mu0, mu1)
     provenance: dict = {"solver": "exact", "mode": mode, "search": "single",
                         "cost_squared": base.cost_squared, "plan": "lp-vertex"}
     best_min, best_rows = table(base.plan)
@@ -319,7 +323,7 @@ def enumerate_optimal_plans(space: FiniteSpace, mu0, mu1) -> list[Coupling]:
     if n0 + n1 > ENUMERATION_POINT_LIMIT:
         raise EnumerationBudgetError(f"{n0 + n1} support points exceed the "
                                      f"{ENUMERATION_POINT_LIMIT}-point enumeration limit")
-    res = w2(space, mu0, mu1, solver="exact")
+    res = w2(space, mu0, mu1)
     u, v = res.meta["u"], res.meta["v"]
     C = space.metric[np.ix_(rows, cols)] ** 2
     scale = max(1.0, float(np.abs(C).max()))
@@ -408,7 +412,10 @@ def prolongability_experiment(
     points at that time), the Renyi energy against its Jensen bound, and
     the one-sided sigma-weighted estimate. The coverage of the union of
     supports is the desk-scale shadow of the almost-everywhere statement.
+    An empty ``t_grid`` raises ValueError.
     """
+    if len(t_grid) == 0:
+        raise ValueError("t_grid is empty")
     if not 0 <= x0 < space.n:
         raise ValueError(f"center {x0} is not an index of the {space.n}-point space")
     if space.weights[x0] <= 0:

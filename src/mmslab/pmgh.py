@@ -580,8 +580,7 @@ def pmgh_distance(
     eccentricities and the mass difference). When it passes 1 by
     BOUND_MARGIN, the term is 1 whatever the relation, so that radius is
     not searched: its certificate is the profile matching
-    (``_feature_match``), reported with its own distortion and gap. Should
-    those sum below 1, the radius is searched.
+    (``_feature_match``), reported with its own distortion and gap.
 
     The size of the two balls picks the search. At most
     EXHAUSTIVE_POINT_LIMIT (9) points in total are searched exactly by
@@ -624,18 +623,15 @@ def pmgh_distance(
         weight = 2.0 ** (-k)
         bound = _lower_bound(ball_x, ball_y)
         small = len(ball_x.w) + len(ball_y.w) <= EXHAUSTIVE_POINT_LIMIT
-        loc = None
         if bound > 1.0 + BOUND_MARGIN:
             # saturated: the term is 1 for every relation, so certify it
             # with the profile matching instead of searching
             loc = _profile_pairs(ball_x, ball_y)
-            dist, gap = _evaluate(ball_x, ball_y, loc)
-            if dist + gap < 1.0:
-                loc = None
-        if loc is None:
-            loc = (_exhaustive_radius(ball_x, ball_y, bound) if small else
-                   _anneal_radius(ball_x, ball_y, seed + k, proposals=proposals, restarts=restarts))
-            dist, gap = _evaluate(ball_x, ball_y, loc)
+        elif small:
+            loc = _exhaustive_radius(ball_x, ball_y, bound)
+        else:
+            loc = _anneal_radius(ball_x, ball_y, seed + k, proposals=proposals, restarts=restarts)
+        dist, gap = _evaluate(ball_x, ball_y, loc)
         term = min(1.0, dist + gap)
         value += weight * term
         # a saturated term is 1 = min(1, bound) either way

@@ -389,7 +389,8 @@ def split(ps: PointedSpace, line: LineCandidate, window: float | None = None) ->
     is -2 b s + b^2 + d'^2, so b is exact there. The central level set
     |b| <= 1.5 max(h, step/2) is clustered into representatives (points
     whose quotient distance is within h/2 merge), and every windowed point
-    joins the fiber of its nearest representative. One pass over row blocks
+    joins the fiber of its nearest representative; a representative that a
+    tie leaves with an empty fiber is dropped. One pass over row blocks
     of the metric, read in place, gives d'^2 of two fibers, the mass-weighted
     mean of max(0, d^2 - (b-b)^2) over all their point pairs, and the extremes
     of d^2 - (b-b)^2 per fiber pair, from which ``delta_metric``, the maximum
@@ -445,27 +446,28 @@ def split(ps: PointedSpace, line: LineCandidate, window: float | None = None) ->
         rest = rest[~near]
     reps_arr = np.asarray(reps, dtype=int)
 
-    # assign every windowed point to its nearest representative fiber
+    # assign every windowed point to its nearest representative fiber, and
+    # drop the representatives that a tie left with an empty one
     q = _quotient_sq(D[np.ix_(idx, idx[reps_arr])], b, b[reps_arr])
-    assign = np.argmin(np.maximum(q, 0.0), axis=1)
+    kept, assign = np.unique(np.argmin(np.maximum(q, 0.0), axis=1), return_inverse=True)
+    reps_arr = reps_arr[kept]
 
     # one pass over row blocks of Q = d^2 - (b - b)^2, read from D into reused
     # buffers (``take`` fills ``out`` directly only in mode "clip"). Columns go
     # in fiber order by a stable sort, so W_cols, W on those columns, adds each
-    # fiber's terms in W's order; a fiber that a tie left empty gets no segment.
-    # d'^2 of two fibers is the ww-weighted mean of max(0, Q) over their point
-    # pairs, W max(0, Q) W^T / (m m^T) with W[assign[x], x] = ww[x]; q_hi and
-    # q_lo hold each row's extremes of Q per fiber, the rows in fiber order
+    # fiber's terms in W's order. d'^2 of two fibers is the ww-weighted mean of
+    # max(0, Q) over their point pairs, W max(0, Q) W^T / (m m^T) with
+    # W[assign[x], x] = ww[x]; q_hi and q_lo hold each row's extremes of Q per
+    # fiber, the rows in fiber order
     n, M = len(idx), len(reps_arr)
     order = np.argsort(assign, kind="stable")
     rank = np.argsort(order)
     starts = np.flatnonzero(np.diff(assign[order], prepend=-1))
-    filled = assign[order][starts]
     W = csr_matrix((ww, (assign, np.arange(n))), shape=(M, n))
     W_cols = csr_matrix((ww[order], (assign[order], np.arange(n))), shape=(M, n))
     cols, b_cols = idx[order], b[order]
     num = np.zeros((M, M))
-    q_hi, q_lo = np.empty((2, n, filled.size))
+    q_hi, q_lo = np.empty((2, n, M))
     Q_buf, db_buf = np.empty((2, _ROW_BLOCK, n))
     for r in _row_blocks(n):
         rows = idx[r]
@@ -479,11 +481,9 @@ def split(ps: PointedSpace, line: LineCandidate, window: float | None = None) ->
     dprime = np.triu(np.sqrt(np.divide(num, den, out=np.zeros((M, M)), where=den > 0)), 1)
     dprime += dprime.T
 
-    # pushforward weights with per-fiber extent normalization; an empty
-    # fiber keeps weight 0
-    wq = np.zeros(M)
-    wq[filled] = mass[filled] / (np.maximum.reduceat(b_cols, starts)
-                                 - np.minimum.reduceat(b_cols, starts) + max(h, step))
+    # pushforward weights with per-fiber extent normalization
+    wq = mass / (np.maximum.reduceat(b_cols, starts)
+                 - np.minimum.reduceat(b_cols, starts) + max(h, step))
 
     q_points = tuple(space.points[idx[r]] for r in reps_arr)
     quotient_space = FiniteSpace(points=q_points, metric=dprime, weights=wq,
@@ -493,7 +493,7 @@ def split(ps: PointedSpace, line: LineCandidate, window: float | None = None) ->
     # metric defect, the exact maximum of |Q - d'^2| over all pairs: with c =
     # d'^2 of a fiber pair, fl(a - c) does not decrease as a grows and fl(c - a)
     # = -fl(a - c), so the pair's maximum is max(fl(Qmax - c), fl(c - Qmin))
-    c = dprime[np.ix_(filled, filled)] ** 2
+    c = dprime ** 2
     resid = max((np.maximum.reduceat(q_hi, starts) - c).max(),
                 (c - np.minimum.reduceat(q_lo, starts)).max())
     delta_metric = float(np.sqrt(resid))

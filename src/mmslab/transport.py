@@ -14,12 +14,12 @@ it solves the exact hub form of the capped LP (the thresholded ground
 distance of Pele and Werman, ICCV 2009): the capped arcs give way to one
 hub at T/2 in and T/2 out, with the same optimum since
 min(c, T) <= T/2 + T/2, and the certificate still checks all n0 * n1
-capped arcs, so it proves the capped LP itself optimal.
-An entropic solver provides the approximate route. Discrete displacement
-interpolation is delegated to an interpolation oracle (``Interpolator``):
-it maps a whole plan of (i, j) pairs at a time t to existing points in one
-batch call, and on a subset of the points it restricts to an oracle of its
-own kind, whose answer for a dropped point is the nearest kept one.
+capped arcs, so it proves the capped LP itself optimal. Discrete
+displacement interpolation is delegated to an interpolation oracle
+(``Interpolator``): it maps a whole plan of (i, j) pairs at a time t to
+existing points in one batch call, and on a subset of the points it
+restricts to an oracle of its own kind, whose answer for a dropped point
+is the nearest kept one.
 """
 from __future__ import annotations
 
@@ -283,55 +283,12 @@ def _sweep_duals(arcs: np.ndarray, tol: float) -> tuple[np.ndarray, int] | None:
     return None
 
 
-def _sinkhorn(C: np.ndarray, a: np.ndarray, b: np.ndarray,
-              reg: float) -> tuple[np.ndarray, int, float]:
-    """Log-domain Sinkhorn; returns a feasible (rounded) plan."""
-    f = np.zeros(len(a))
-    g = np.zeros(len(b))
-    loga, logb = np.log(a), np.log(b)
-    it = 0
-    err = np.inf
-    for it in range(1, 10_001):
-        M = (f[:, None] + g[None, :] - C) / reg
-        f = f + reg * (loga - _logsumexp_rows(M))
-        M = (f[:, None] + g[None, :] - C) / reg
-        g = g + reg * (logb - _logsumexp_rows(M.T))
-        if it % 10 == 0:  # includes the last sweep
-            P = np.exp((f[:, None] + g[None, :] - C) / reg)
-            err = np.abs(P.sum(axis=1) - a).sum() + np.abs(P.sum(axis=0) - b).sum()
-            if err <= 1e-8:
-                break
-    P = np.exp((f[:, None] + g[None, :] - C) / reg)
-    # round to the transport polytope (scale rows/cols down, fix residual rank-one)
-    r = P.sum(axis=1)
-    P = P * np.minimum(a / np.where(r > 0, r, 1.0), 1.0)[:, None]
-    c = P.sum(axis=0)
-    P = P * np.minimum(b / np.where(c > 0, c, 1.0), 1.0)[None, :]
-    ea = a - P.sum(axis=1)
-    eb = b - P.sum(axis=0)
-    s = ea.sum()
-    if s > 1e-300:
-        P = P + np.outer(ea, eb) / s
-    return P, it, float(err)
-
-
-def _logsumexp_rows(M: np.ndarray) -> np.ndarray:
-    mx = M.max(axis=1)
-    return mx + np.log(np.exp(M - mx[:, None]).sum(axis=1))
-
-
-def w2(
-    space: FiniteSpace,
-    mu0,
-    mu1,
-    solver: str = "exact",
-    reg: float = 1e-2,
-) -> W2Result:
+def w2(space: FiniteSpace, mu0, mu1) -> W2Result:
     """Quadratic transport between probability measures on ``space``.
 
-    Exact mode solves ``transport_lp`` and returns its vertex-optimal plan
-    with the squared cost: an optimal permutation when both measures are
-    uniform on equally many points, else the dual simplex's vertex.
+    Solves ``transport_lp`` and returns its vertex-optimal plan with the
+    squared cost: an optimal permutation when both measures are uniform on
+    equally many points, else the dual simplex's vertex.
     ``W2Result.distance`` is its square root, and
     ``meta`` carries the duals ``u``, ``v`` with their certificate
     (``min_reduced_cost``, ``duality_gap``, ``route`` and, on the
@@ -339,11 +296,7 @@ def w2(
     route allows, ASSIGNMENT_PAIR_LIMIT on the assignment route and
     TRANSPORT_PAIR_LIMIT on the simplex, raises TransportBudgetError before
     any cost is formed; an assignment above TRANSPORT_PAIR_LIMIT whose duals
-    do not settle raises it after the solve (``transport_lp``). Entropic mode runs log-domain
-    matrix scaling at regularization ``reg`` (squared distance units,
-    positive and finite, else ValueError), stopping at L1 marginal error
-    1e-8 or after 10,000 sweeps, and rounds the plan back to the polytope
-    so the reported cost upper-bounds the exact one.
+    do not settle raises it after the solve (``transport_lp``).
     """
     mu0 = as_probability(space, mu0)
     mu1 = as_probability(space, mu1)
@@ -352,26 +305,13 @@ def w2(
     a, b = mu0[rows], mu1[cols]
     route = _route(a, b, None)
     limit = ASSIGNMENT_PAIR_LIMIT if route == "assignment" else TRANSPORT_PAIR_LIMIT
-    if solver == "exact" and len(rows) * len(cols) > limit:
+    if len(rows) * len(cols) > limit:
         raise TransportBudgetError(
             f"exact transport of {len(rows)} x {len(cols)} support points is above "
-            f"the {route} route's limit of {limit} pairs; use the entropic solver")
-    C = space.metric[np.ix_(rows, cols)] ** 2
-
-    if solver == "exact":
-        gamma, cost, u, v, cert = transport_lp(C, a, b)
-        meta = {"u": u, "v": v, **cert}
-    elif solver == "entropic":
-        if not (np.isfinite(reg) and reg > 0):
-            raise ValueError(f"reg {reg!r} must be positive and finite")
-        gamma, iters, err = _sinkhorn(C, a, b, reg)
-        cost = float((gamma * C).sum())
-        meta = {"iterations": iters, "marginal_error": err, "reg": reg}
-    else:
-        raise ValueError(f"unknown solver {solver!r}")
-
+            f"the {route} route's limit of {limit} pairs")
+    gamma, cost, u, v, cert = transport_lp(space.metric[np.ix_(rows, cols)] ** 2, a, b)
     plan = Coupling(rows=rows, cols=cols, gamma=gamma, n=space.n)
-    return W2Result(cost, plan, solver, meta)
+    return W2Result(cost, plan, "exact", {"u": u, "v": v, **cert})
 
 
 # ---------------------------------------------------------------------------

@@ -332,7 +332,26 @@ def test_transport_pair_limit_exit_code(tmp_path, monkeypatch, capsys):
     code = run(["w2", "euclidean-grid:1d,h=0.1,extent=0.5", "--mu0", "uniform",
                 "--mu1", "uniform", "--out", str(tmp_path)])
     assert code == cli.EXIT_BUDGET
-    assert "11 x 11" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "11 x 11" in err and "assignment route's limit of 120" in err
+    assert "entropic" not in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_simplex_pair_limit_exit_code(tmp_path, monkeypatch, capsys):
+    # a general measure above the simplex route's limit exits 3, and no
+    # uncertified route answers it instead
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the size check must run before any solve")
+
+    monkeypatch.setattr(transport, "TRANSPORT_PAIR_LIMIT", 10)
+    monkeypatch.setattr(transport, "transport_lp", no_solve)
+    code = run(["w2", "euclidean-grid:1d,h=0.1,extent=0.5", "--mu0", "left-half:0",
+                "--mu1", "uniform", "--out", str(tmp_path)])
+    assert code == cli.EXIT_BUDGET
+    err = capsys.readouterr().err
+    assert "x 11" in err and "simplex route's limit of 10" in err
+    assert "entropic" not in err
     assert not (tmp_path / "report.json").exists()
 
 
@@ -476,17 +495,6 @@ def test_every_option_is_read():
     assert not unread
 
 
-@pytest.mark.parametrize("reg", ["0", "nan", "inf", "-0.01"])
-def test_entropic_bad_reg_exit_code(tmp_path, reg):
-    # reg 0, nan and inf once printed W2 = nan, and -0.01 a W2^2 of 0.436
-    # where the exact value is 0.36
-    code = run(["w2", "euclidean-grid:1d,h=0.1,extent=0.5", "--mu0", "left-half:0",
-                "--mu1", "right-half:0", "--solver", "entropic", f"--reg={reg}",
-                "--out", str(tmp_path)])
-    assert code == cli.EXIT_VALIDATION
-    assert not (tmp_path / "report.json").exists()
-
-
 @pytest.mark.parametrize("command", [
     ["cdstar", "--K", "0", "--N", "nan"],
     ["cdstar", "--K", "nan", "--N", "2"],
@@ -503,6 +511,21 @@ def test_non_finite_parameter_exit_code(tmp_path, command):
     code = run([command[0], "euclidean-grid:1d,h=0.1,extent=0.5", *command[1:],
                 "--out", str(tmp_path)])
     assert code == cli.EXIT_VALIDATION
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("command, grid", [
+    (["cdstar", "--K", "0", "--N", "2", "--t-grid", ""], "t_grid"),
+    (["cdstar", "--K", "0", "--N", "2", "--Nprime-grid", ","], "nprime_grid"),
+    (["prolong", "--R", "0.3", "--N", "1", "--t-grid", ""], "t_grid"),
+], ids=["cdstar-t", "cdstar-Nprime", "prolong-t"])
+def test_empty_grid_exit_code(tmp_path, capsys, command, grid):
+    # prolong once exited 0 with no rows and coverage 0, and cdstar failed on
+    # "min() arg is an empty sequence"
+    code = run([command[0], "euclidean-grid:1d,h=0.1,extent=0.5", *command[1:],
+                "--out", str(tmp_path)])
+    assert code == cli.EXIT_VALIDATION
+    assert f"{grid} is empty" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
 
 
