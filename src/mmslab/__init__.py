@@ -33,7 +33,6 @@ from .models import GroundTruth, ModelSpec, ground_truth, make, parse_spec
 from .pmgh import (
     Correspondence,
     PmghEstimate,
-    convergence_diagnostic,
     distortion,
     measure_gap,
     pmgh_distance,
@@ -44,6 +43,7 @@ from .tangent_lab import (
     SplitResult,
     blowup,
     detect_line,
+    distances_to,
     euclidean_dimension,
     iterated_tangent_check,
     match_tangent,

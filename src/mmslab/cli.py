@@ -242,10 +242,10 @@ def cmd_ghdist(args) -> int:
 def cmd_blowup(args) -> int:
     ps = _load_pointed(args.space)
     seq = tangent_lab.blowup(ps, _floats(args.radii), window=args.window)
-    rows = []
-    target = None
+    estimates = {}
     if args.target:
         target = tangent_lab.normalize_window(_load_pointed(args.target), args.window)
+        estimates = dict(tangent_lab.distances_to(seq, target, seed=args.seed))
     out = _out_dir(args)
     report = {"window": args.window, "members": []}
     for k, m in enumerate(seq.members):
@@ -254,14 +254,15 @@ def cmd_blowup(args) -> int:
             "normalization": m.normalization,
             "relative_resolution": m.relative_resolution, "warning": m.warning,
         }
-        if target is not None and m.usable:
-            est = pmgh.pmgh_distance(m.space, target, seed=args.seed)
-            entry["distance_to_target"] = est.value
-            rows.append((m.radius, est.value))
+        if m.usable and estimates:
+            est = estimates[m.radius]
+            entry |= {"distance_to_target": est.value, "lower_bound": est.lower_bound,
+                      "exact": est.exact}
         report["members"].append(entry)
         with open(os.path.join(out, f"member_{k}.json"), "w") as fh:
             json.dump(core.space_to_dict(m.space), fh)
-    if rows:
+    if estimates:
+        rows = [(radius, est.value) for radius, est in estimates.items()]
         _write_csv(args, "convergence.csv", ["radius", "distance"], rows)
         if args.svg:
             line_chart(os.path.join(out, "convergence.svg"),

@@ -170,9 +170,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def by_kind(self, kind: str) -> list:
-        return [v for v in self.violations if v[0] == kind]
-
     def summary(self) -> str:
         if self.ok:
             return "valid"
@@ -325,13 +322,6 @@ class DoublingProfile:
         object.__setattr__(self, "radii", _frozen(self.radii))
         object.__setattr__(self, "ratios", _frozen(self.ratios))
         object.__setattr__(self, "envelope", _frozen(self.envelope))
-
-    def envelope_at(self, R: float) -> float:
-        """Step-function value C(R): envelope at the largest profiled radius <= R."""
-        i = int(np.searchsorted(self.radii, R, side="right")) - 1
-        if i < 0:
-            return float(self.envelope[0])
-        return float(self.envelope[i])
 
 
 def doubling_profile(

@@ -102,9 +102,6 @@ class RenyiEnergy:
     singular_mass: float      # mass sitting on weight-zero points (excluded)
     density_support_mass: float  # m(E) with E = {rho > 0}
 
-    def jensen_bound(self, nprime: float) -> float:
-        return -self.density_support_mass ** (1.0 / nprime)
-
 
 def renyi_energy(mu: np.ndarray, space: FiniteSpace, nprime: float) -> RenyiEnergy:
     """Renyi entropy functional of mu against the reference weights.
@@ -159,9 +156,6 @@ class CdReport:
     @property
     def min_slack(self) -> float:
         return min((r.slack for r in self.rows), default=math.inf)
-
-    def slack_table(self) -> np.ndarray:
-        return np.array([[r.t, r.nprime, r.lhs, r.rhs, r.slack] for r in self.rows])
 
 
 _H_NOTE = ("tolerance follows the 5*h*diam discretization convention; "

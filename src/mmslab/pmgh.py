@@ -38,7 +38,6 @@ __all__ = [
     "distortion",
     "measure_gap",
     "pmgh_distance",
-    "convergence_diagnostic",
 ]
 
 DEFAULT_RADII = (1.0, 2.0, 4.0, 8.0)
@@ -653,29 +652,3 @@ def pmgh_distance(
         swapped=swapped,
     )
 
-
-def convergence_diagnostic(
-    members: Sequence[tuple[float, PointedSpace]],
-    target: PointedSpace,
-    **kwargs,
-) -> dict:
-    """Surrogate distance of each (label, space) member to the target.
-
-    Returns rows (label, value) plus a coarse trend flag: 'constant' when
-    everything is numerically zero, 'decreasing' when values mostly shrink
-    and end well below the start, else 'none'.
-    """
-    rows = []
-    for label, ps in members:
-        est = pmgh_distance(ps, target, **kwargs)
-        rows.append((label, est.value, est))
-    vals = np.array([v for _, v, _ in rows])
-    trend = "none"
-    if len(vals) and np.all(np.abs(vals) < 1e-12):
-        trend = "constant"
-    elif len(vals) >= 2:
-        diffs = np.diff(vals)
-        mostly_down = (diffs <= 1e-12).sum() >= (diffs > 1e-12).sum()
-        if mostly_down and vals[-1] <= 0.7 * vals[0] + 1e-12:
-            trend = "decreasing"
-    return {"rows": rows, "trend": trend}

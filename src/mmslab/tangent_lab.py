@@ -3,7 +3,9 @@
 The experimental side of the lab: rescale-and-renormalize a space at a
 point, compare the members against model tangents, find approximate lines
 through the basepoint, factor them off with a Busemann-type coordinate,
-and iterate to count Euclidean dimensions.
+and iterate to count Euclidean dimensions. Every comparison of members
+with a target goes through :func:`distances_to` and keeps the pmGH
+interval: the ``value``, an upper bound, and the certified ``lower_bound``.
 """
 from __future__ import annotations
 
@@ -15,13 +17,14 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .core import FiniteSpace, PointedSpace, ball_restrict, normalize_at, rescale
-from .pmgh import TELEPORT_COST, convergence_diagnostic, pmgh_distance
+from .pmgh import TELEPORT_COST, PmghEstimate, pmgh_distance
 
 __all__ = [
     "BlowupMember",
     "BlowupSequence",
     "blowup",
     "normalize_window",
+    "distances_to",
     "MatchReport",
     "match_tangent",
     "iterated_tangent_check",
@@ -123,51 +126,56 @@ def normalize_window(ps: PointedSpace, window: float = 8.0) -> PointedSpace:
 # Tangent matching
 # ---------------------------------------------------------------------------
 
+def distances_to(seq: BlowupSequence, target: PointedSpace,
+                 **pmgh_kwargs) -> list[tuple[float, PmghEstimate]]:
+    """(radius, pmGH estimate to the target) of each usable member, in order.
+
+    Each estimate's ``value`` is an upper bound backed by its certificate
+    correspondences, and its ``lower_bound`` is certified (relation-free, or
+    the exact infimum of a radius searched exactly); ``exact`` says they
+    coincide. This is the one comparison of a blow-up sequence with a
+    target: :func:`match_tangent`, :func:`iterated_tangent_check` and the
+    ``blowup --target`` command all go through it.
+    """
+    usable = seq.usable_members()
+    if not usable:
+        raise ValueError("blow-up sequence has no usable members")
+    return [(m.radius, pmgh_distance(m.space, target, **pmgh_kwargs)) for m in usable]
+
+
 @dataclass(frozen=True)
 class MatchReport:
-    trajectories: dict           # model name -> list of (radius, value)
-    finals: dict                 # model name -> final value
-    trends: dict                 # model name -> trend flag
+    trajectories: dict           # model name -> list of (radius, PmghEstimate)
+    finals: dict                 # model name -> final member's value (an upper bound)
     ranking: tuple               # names sorted by final value
     best: str | None
-
-    def margin(self, name_a: str, name_b: str) -> float:
-        """finals[name_b] / finals[name_a] (how much worse b is than a)."""
-        a, b = self.finals[name_a], self.finals[name_b]
-        if a <= 0:
-            return math.inf
-        return b / a
+    # the best model's final value is below every other model's final
+    # lower bound, so no other model can be closer to the final member
+    certified: bool
 
 
 def match_tangent(
     seq: BlowupSequence,
     models: dict[str, PointedSpace],
-    R_grid: Sequence[float] | None = None,
-    seed: int = 0,
     **pmgh_kwargs,
 ) -> MatchReport:
     """Rank model tangents by their surrogate-distance trajectory along the sequence.
 
     Models must be normalized and windowed like the members (see
-    :func:`normalize_window`).
+    :func:`normalize_window`). The ranking orders the final member's values,
+    which are upper bounds; it is ``certified`` when the best model's value
+    lies below the certified lower bound of every other model.
     """
-    usable = seq.usable_members()
-    if not usable:
-        raise ValueError("blow-up sequence has no usable members")
-    trajectories: dict = {}
-    finals: dict = {}
-    trends: dict = {}
-    for name, model in models.items():
-        diag = convergence_diagnostic(
-            [(m.radius, m.space) for m in usable], model,
-            R_grid=R_grid, seed=seed, **pmgh_kwargs,
-        )
-        trajectories[name] = [(label, val) for label, val, _ in diag["rows"]]
-        finals[name] = trajectories[name][-1][1]
-        trends[name] = diag["trend"]
+    trajectories = {name: distances_to(seq, model, **pmgh_kwargs)
+                    for name, model in models.items()}
+    finals = {name: traj[-1][1].value for name, traj in trajectories.items()}
     ranking = tuple(sorted(finals, key=lambda k: finals[k]))
-    return MatchReport(trajectories=trajectories, finals=finals, trends=trends,
-                       ranking=ranking, best=ranking[0] if ranking else None)
+    best = ranking[0] if ranking else None
+    certified = best is not None and all(
+        finals[best] < traj[-1][1].lower_bound
+        for name, traj in trajectories.items() if name != best)
+    return MatchReport(trajectories=trajectories, finals=finals, ranking=ranking,
+                       best=best, certified=certified)
 
 
 @dataclass(frozen=True)
@@ -175,9 +183,10 @@ class IteratedTangentReport:
     y_prime: int                 # global index of the re-pointing target in the tangent
     offset_requested: float
     offset_actual: float
-    comparisons: tuple           # rows (rho, original_radius, value)
-    best_value: float
+    comparisons: tuple           # rows (rho, original_radius, value, lower_bound)
+    best_value: float            # least value over the rows (an upper bound)
     best_pair: tuple | None
+    lower_bound: float           # least lower bound: every pair is at least this far apart
 
 
 def iterated_tangent_check(
@@ -190,9 +199,11 @@ def iterated_tangent_check(
 ) -> IteratedTangentReport:
     """Blow up, re-point the finest tangent approximation, blow up again.
 
-    The tangent-of-tangent members are compared against the original
-    blow-up family; small minima support the inclusion of iterated
-    tangents among the original tangents at desk scale.
+    Each tangent-of-tangent member is compared against the original blow-up
+    family by :func:`distances_to`. A small ``best_value``, an upper bound,
+    supports the inclusion of iterated tangents among the original tangents
+    at desk scale; a positive ``lower_bound``, certified, shows that no
+    original member comes closer than it.
     """
     if inner_radii is None:
         inner_radii = (0.5,)
@@ -218,15 +229,15 @@ def iterated_tangent_check(
     best = math.inf
     best_pair = None
     for im in inner.usable_members():
-        for om in seq.usable_members():
-            est = pmgh_distance(im.space, om.space, **pmgh_kwargs)
-            rows.append((im.radius, om.radius, est.value))
+        for radius, est in distances_to(seq, im.space, **pmgh_kwargs):
+            rows.append((im.radius, radius, est.value, est.lower_bound))
             if est.value < best:
                 best = est.value
-                best_pair = (im.radius, om.radius)
+                best_pair = (im.radius, radius)
     return IteratedTangentReport(
         y_prime=y_prime, offset_requested=float(offset), offset_actual=actual,
         comparisons=tuple(rows), best_value=best, best_pair=best_pair,
+        lower_bound=min((row[3] for row in rows), default=math.inf),
     )
 
 

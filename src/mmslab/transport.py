@@ -87,26 +87,10 @@ class Coupling:
     gamma: np.ndarray         # (n0, n1) nonnegative masses
     n: int                    # number of points of the ambient space
 
-    def marginal0(self) -> np.ndarray:
-        out = np.zeros(self.n)
-        np.add.at(out, self.rows, self.gamma.sum(axis=1))
-        return out
-
-    def marginal1(self) -> np.ndarray:
-        out = np.zeros(self.n)
-        np.add.at(out, self.cols, self.gamma.sum(axis=0))
-        return out
-
     def atoms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(i, j, mass) triplets with positive mass, in full-space indices."""
         ii, jj = np.nonzero(self.gamma > 0)
         return self.rows[ii], self.cols[jj], self.gamma[ii, jj]
-
-    def check_marginals(self, mu0, mu1) -> bool:
-        return (
-            np.abs(self.marginal0() - mu0).max() <= 1e-9
-            and np.abs(self.marginal1() - mu1).max() <= 1e-9
-        )
 
     def to_triplet_rows(self) -> list[tuple[int, int, float]]:
         ii, jj, mm = self.atoms()
@@ -412,28 +396,13 @@ class GeodesicPlan:
     def evaluate(self, t: float) -> np.ndarray:
         return _pushforward(self.interpolator, self.space.n, self.i, self.j, self.mass, t)
 
-    def endpoint_coupling(self) -> Coupling:
-        rows, rinv = np.unique(self.i, return_inverse=True)
-        cols, cinv = np.unique(self.j, return_inverse=True)
-        gamma = np.zeros((len(rows), len(cols)))
-        np.add.at(gamma, (rinv, cinv), self.mass)
-        return Coupling(rows=rows, cols=cols, gamma=gamma, n=self.space.n)
-
-    @property
-    def max_defect(self) -> float:
-        return float(self.defects.max()) if self.defects.size else 0.0
-
-    @property
-    def flagged_mass(self) -> float:
-        return float(self.mass[self.flagged].sum())
-
 
 def geodesic_plan(space: FiniteSpace, plan: Coupling) -> GeodesicPlan:
     """Lift a coupling to paths of the space's oracle and grade each against
     constant-speed geodesy at the times 0, 1/4, 1/2, 3/4 and 1.
 
-    Paths failing the eps_geo check are flagged (and their mass totalled) but
-    the plan is returned regardless.
+    Paths failing the eps_geo check are flagged, but the plan is returned
+    regardless.
     """
     interp = _get_interpolator(space)
     ii, jj, mm = plan.atoms()

@@ -17,7 +17,8 @@ and ranked at once instead of built lazily, its quotient metric from a loop over
 their point pairs instead of one blocked sparse product, its metric defect
 from every point pair instead of the extremes per fiber pair, its measure
 defect per fiber by trapezoid quadrature of the CDF gap instead of the
-closed form over quantile bands, and the targets
+closed form over quantile bands, plan marginals by bincount instead of the
+coupling's own scatter, and the targets
 of the models' geodesic oracles from closed forms per pair (complex numbers
 for the cone's unrolled sector) instead of the oracles' batch code.
 """
@@ -460,3 +461,19 @@ def fiber_measure_defect(x: np.ndarray, w: np.ndarray, q: float, box: float, T: 
     F = m / a * cum[np.searchsorted(x[order], t, side="right")] if a > 0 else 0.0 * t
     G = m * (t + box) / (2.0 * box)
     return float(integrate.trapezoid(np.abs(F - G), t)) + T * abs(a - p)
+
+
+# ---------------------------------------------------------------------------
+# Report readers: plan marginals by bincount, CD* slack tables
+# ---------------------------------------------------------------------------
+
+def has_marginals(plan: Coupling, mu0, mu1) -> bool:
+    """The plan's row and column sums, scattered by bincount, match mu0 and mu1."""
+    m0 = np.bincount(plan.rows, plan.gamma.sum(axis=1), minlength=plan.n)
+    m1 = np.bincount(plan.cols, plan.gamma.sum(axis=0), minlength=plan.n)
+    return np.abs(m0 - mu0).max() <= 1e-9 and np.abs(m1 - mu1).max() <= 1e-9
+
+
+def slack_table(rep) -> np.ndarray:
+    """(t, N', lhs, rhs, slack) of each row of a CD* report."""
+    return np.array([[r.t, r.nprime, r.lhs, r.rhs, r.slack] for r in rep.rows])

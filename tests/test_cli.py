@@ -284,6 +284,19 @@ def test_blowup_command_with_target(tmp_path):
     assert_golden(tmp_path, "blowup", "convergence.csv")
 
 
+def test_blowup_target_without_usable_member_exit_code(tmp_path, capsys):
+    # both members zoom below the data resolution; the run once exited 0
+    # with no distance at all
+    code = run(["blowup", "euclidean-grid:2d,h=0.25,extent=4.5,shape=ball",
+                "--radii", "0.05,0.02", "--window", "4",
+                "--target", "euclidean-grid:2d,h=0.5,extent=4.5,shape=ball",
+                "--out", str(tmp_path)])
+    assert code == cli.EXIT_VALIDATION
+    assert "invalid input: blow-up sequence has no usable members" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+    assert not list(tmp_path.glob("member_*.json"))
+
+
 @pytest.mark.parametrize("point", ["999", "11", "-1"])
 def test_validation_error_exit_code(tmp_path, point):
     # the grid has 11 points; a negative index must not wrap to the last one

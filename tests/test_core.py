@@ -29,7 +29,7 @@ class TestValidate:
     def test_nonzero_diagonal_reported(self):
         D = np.array([[0.5, 1], [1, 0]], dtype=float)
         rep = core.validate(FiniteSpace((0, 1), D, np.ones(2)))
-        assert rep.by_kind("diagonal")
+        assert "diagonal" in {v[0] for v in rep.violations}
 
     def test_valid_grid_empty_report(self):
         ps = models.make(models.ModelSpec("euclidean-grid", dim=2, h=0.25, extent=0.5))
@@ -47,7 +47,7 @@ class TestValidate:
     def test_asymmetry_reported(self):
         D = np.array([[0, 1.0], [1.1, 0]])
         rep = core.validate(FiniteSpace((0, 1), D, np.ones(2)))
-        assert rep.by_kind("symmetry")
+        assert "symmetry" in {v[0] for v in rep.violations}
 
     def test_non_finite_reported_first(self):
         D = np.array([[0, 1.0], [1.0, 0]])
@@ -194,12 +194,6 @@ class TestDoubling:
         assert core.doubling_profile(sp, [0.5, 1.5], centers=[0]).ratios.size == 2
         with pytest.raises(ValueError, match="support"):
             core.doubling_profile(sp, [0.5, 1.5], centers=[1])
-
-    def test_envelope_at_steps(self):
-        ps = models.make(models.ModelSpec("euclidean-grid", dim=1, h=0.05, extent=1.0))
-        prof = core.doubling_profile(ps.space, [0.1, 0.2, 0.4])
-        assert prof.envelope_at(0.25) == prof.envelope[1]
-        assert prof.envelope_at(5.0) == prof.envelope[-1]
 
 
 class TestProduct:

@@ -2,9 +2,10 @@
 module-level private name is referenced somewhere in the package, every
 module-level constant is read somewhere in the package, every function
 reads each of its parameters, some caller sets each parameter
-that has a default, one call site solves every LP, no code probes an
-object for an attribute, and the CLI maps every exception class the package
-defines to a documented exit code."""
+that has a default, the package or the bench looks up every method, one
+call site solves every LP, no code probes an object for an attribute, and
+the CLI maps every exception class the package defines to a documented exit
+code."""
 import ast
 import importlib
 import inspect
@@ -131,6 +132,22 @@ def test_no_unused_parameters(path):
 
 ROOT = SRC.parents[1]
 CALLER_FILES = sorted(p for d in (SRC, ROOT / "tests", ROOT / "bench") for p in d.rglob("*.py"))
+
+
+def test_no_test_only_methods():
+    # a method or property that only tests look up is test code kept in the
+    # package; its helper belongs in tests/oracles.py
+    looked_up = {node.attr for p in (*SRC.glob("*.py"), *(ROOT / "bench").glob("*.py"))
+                 for node in ast.walk(ast.parse(p.read_text()))
+                 if isinstance(node, ast.Attribute)}
+    unused = [f"{path.name} {cls.name}.{fn.name} (line {fn.lineno})"
+              for path in sorted(SRC.glob("*.py"))
+              for cls in ast.walk(ast.parse(path.read_text())) if isinstance(cls, ast.ClassDef)
+              for fn in cls.body
+              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and not (fn.name.startswith("__") and fn.name.endswith("__"))
+              and fn.name not in looked_up]
+    assert not unused, f"methods only tests look up: {unused}"
 
 
 def _defaulted(fn: ast.FunctionDef | ast.AsyncFunctionDef,

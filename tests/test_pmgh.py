@@ -543,22 +543,30 @@ class TestFailFast:
             pmgh.pmgh_distance(A, A, R_grid=(1.0, R))
 
 
-class TestConvergenceDiagnostic:
-    def test_constant_sequence_all_zero(self):
+def sequence(*spaces, usable=True):
+    """A blow-up sequence of the given spaces at radii 1, 1/2, 1/4, ..."""
+    return tangent_lab.BlowupSequence(origin_base=0, window=8.0, members=tuple(
+        tangent_lab.BlowupMember(radius=2.0 ** -k, space=ps, normalization=1.0,
+                                 relative_resolution=0.0, usable=usable, warning=None)
+        for k, ps in enumerate(spaces)))
+
+
+class TestDistancesTo:
+    def test_constant_sequence_is_exact_zero(self):
         A = two_point(1.0)
-        diag = pmgh.convergence_diagnostic([(1.0, A), (0.5, A), (0.25, A)], A)
-        assert diag["trend"] == "constant"
-        assert all(v == 0.0 for _, v, _ in diag["rows"])
+        rows = tangent_lab.distances_to(sequence(A, A, A), A)
+        assert [r for r, _ in rows] == [1.0, 0.5, 0.25]
+        assert all(est.value == est.lower_bound == 0.0 and est.exact for _, est in rows)
 
-    def test_alternating_no_trend(self):
-        A, B = two_point(1.0), two_point(3.0)
-        target = two_point(1.0)
-        diag = pmgh.convergence_diagnostic(
-            [(1.0, A), (0.5, B), (0.25, A), (0.125, B)], target)
-        assert diag["trend"] == "none"
+    @pytest.mark.parametrize("gaps", [(1.0, 3.0, 1.0, 3.0), (2.0, 1.4, 1.05)],
+                             ids=["alternating", "decreasing"])
+    def test_lower_bound_below_value(self, gaps):
+        rows = tangent_lab.distances_to(sequence(*map(two_point, gaps)), two_point(1.0))
+        assert len(rows) == len(gaps)
+        assert all(0.0 <= est.lower_bound <= est.value for _, est in rows)
+        assert any(est.value > 0.0 for _, est in rows)
 
-    def test_decreasing_flag(self):
-        target = two_point(1.0)
-        members = [(1.0, two_point(2.0)), (0.5, two_point(1.4)), (0.25, two_point(1.05))]
-        diag = pmgh.convergence_diagnostic(members, target)
-        assert diag["trend"] == "decreasing"
+    def test_unusable_only_sequence_raises(self):
+        A = two_point(1.0)
+        with pytest.raises(ValueError, match="no usable members"):
+            tangent_lab.distances_to(sequence(A, A, usable=False), A)

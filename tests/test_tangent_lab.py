@@ -183,8 +183,15 @@ class TestMatchTangent:
         rep = tl.match_tangent(seq, lib, R_grid=(1, 2, 4), seed=0)
         assert rep.best == "euclidean:2"
         assert rep.finals["euclidean:2"] < 0.1
-        assert rep.margin("euclidean:2", "euclidean:1") >= 2.0
-        assert rep.margin("euclidean:2", "euclidean:3") >= 2.0
+        # at the final member (r = 0.5) the R^2 value is below the other
+        # models' certified lower bounds
+        assert rep.certified
+        # at r = 1 the best value is not: R^3's lower bound lies below it
+        first = {name: traj[0] for name, traj in rep.trajectories.items()}
+        assert {r for r, _ in first.values()} == {1.0}
+        best = min(first, key=lambda k: first[k][1].value)
+        assert any(first[best][1].value >= est.lower_bound
+                   for name, (_, est) in first.items() if name != best)
 
     def test_singleton_model_is_worst(self):
         ps = grid(2, 0.25, 4.5, shape="ball")
@@ -506,7 +513,9 @@ class TestIteratedTangent:
         inner = tl.blowup(PointedSpace(Y.space, yprime), [0.25], window=2.0)
         tot = inner.finest_usable().space
         d_plane = pmgh.pmgh_distance(tot, plane, R_grid=(0.5, 1.0), seed=0).value
-        assert d_plane < rep.best_value
+        # certified: the plane's upper bound is below the least lower bound
+        # of the member's distances to the apex blow-ups
+        assert d_plane < rep.lower_bound
 
 
 class TestEuclideanDimension:

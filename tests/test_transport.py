@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from mmslab import cli, core, models, transport
 from mmslab.core import FiniteSpace, PointedSpace
 
-from oracles import (bruteforce_w2, dense_w2_lp, monotone_1d, monotone_cost_1d,
-                     nx_shortest_path_matrix)
+from oracles import (bruteforce_w2, dense_w2_lp, has_marginals, monotone_1d,
+                     monotone_cost_1d, nx_shortest_path_matrix)
 
 
 def line_space(n, h=1.0):
@@ -74,7 +74,7 @@ class TestW2Exact:
             cost = sp.metric[np.ix_(rows, cols)] ** 2
             expect = bruteforce_w2(cost, mu0[rows], mu1[cols])
             assert res.cost_squared == pytest.approx(expect, abs=1e-9, rel=1e-9)
-            assert res.plan.check_marginals(mu0, mu1)
+            assert has_marginals(res.plan, mu0, mu1)
 
     def test_plan_is_vertex(self):
         # vertex plans have at most n0 + n1 - 1 atoms
@@ -450,7 +450,7 @@ class TestGeodesicPlan:
         mu = np.full(ps.n, 1 / ps.n)
         plan = transport.w2(ps.space, mu, mu).plan
         gp = transport.geodesic_plan(ps.space, plan)
-        assert gp.max_defect == pytest.approx(0.0, abs=1e-12)
+        assert gp.defects.max() == pytest.approx(0.0, abs=1e-12)
         assert np.array_equal(gp.i, gp.j)
 
     def test_grid_paths_pass_geodesy(self):
@@ -460,8 +460,8 @@ class TestGeodesicPlan:
         mu1 = random_measure(rng, ps.n, support=20)
         plan = transport.w2(ps.space, mu0, mu1).plan
         gp = transport.geodesic_plan(ps.space, plan)
-        assert gp.max_defect <= gp.eps_geo
-        assert gp.flagged_mass == 0.0
+        assert gp.defects.max() <= gp.eps_geo
+        assert not gp.flagged.any()
 
     def test_endpoint_coupling_matches_input(self):
         ps = models.make(models.ModelSpec("euclidean-grid", dim=1, h=0.05, extent=1.0))
@@ -470,9 +470,8 @@ class TestGeodesicPlan:
         mu1 = random_measure(rng, ps.n, support=5)
         plan = transport.w2(ps.space, mu0, mu1).plan
         gp = transport.geodesic_plan(ps.space, plan)
-        back = gp.endpoint_coupling()
-        assert np.abs(back.marginal0() - mu0).max() <= 1e-12
-        assert np.abs(back.marginal1() - mu1).max() <= 1e-12
+        assert np.abs(np.bincount(gp.i, gp.mass, minlength=ps.n) - mu0).max() <= 1e-12
+        assert np.abs(np.bincount(gp.j, gp.mass, minlength=ps.n) - mu1).max() <= 1e-12
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10**9))
